@@ -8,7 +8,7 @@ tables, so all values here are immutable and all functions pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import DomainMismatch, IllTyped
 
@@ -161,6 +161,36 @@ def jointly_epic(e1: FinMap, e2: FinMap) -> bool:
     if e1.cod != e2.cod:
         raise DomainMismatch("jointly_epic requires a common codomain")
     return set(e1.table) | set(e2.table) == set(range(e1.cod))
+
+
+def fibres(keys: Iterable[Hashable]) -> dict[Hashable, list[int]]:
+    """The positions of each key, ascending: the fibres of i -> keys[i],
+    built in one pass."""
+    out: dict[Hashable, list[int]] = {}
+    for i, key in enumerate(keys):
+        bucket = out.get(key)
+        if bucket is None:
+            out[key] = [i]
+        else:
+            bucket.append(i)
+    return out
+
+
+def pinned_fibres(d: FinMap, c: FinMap, targets: Iterable[tuple[int, int]],
+                  pins: dict[int, int]) -> list[Sequence[int]]:
+    """For the i-th target (x, y), the w with d(w) = x and c(w) = y, in
+    ascending order.  A pinned position keeps only its pin, and nothing
+    when the pin lies outside that fibre.  One index of the (d, c)-fibres
+    serves every position, so the cost is O(d.dom + len(targets))."""
+    over = fibres(zip(d.table, c.table))
+    allowed: list[Sequence[int]] = []
+    for i, key in enumerate(targets):
+        w = pins.get(i)
+        if w is None:
+            allowed.append(over.get(key, ()))
+        else:
+            allowed.append((w,) if (d.table[w], c.table[w]) == key else ())
+    return allowed
 
 
 def maps(dom: int, cod: int) -> Iterable[FinMap]:

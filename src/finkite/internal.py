@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatch, IllTyped, NonCommutingSquare
-from .finmaps import FinMap, compose, identity
-from .limits import SplitCospan, kernel_pair, local_product
+from .finmaps import FinMap, compose, fibres, identity, pinned_fibres
+from .limits import SplitCospan, kernel_pair, local_product, pullback
 from .report import Report, fails, holds
 
 
@@ -95,21 +95,15 @@ class C2Data:
     def size(self) -> int:
         return len(self.labels)
 
-    def index(self, x: int, y: int) -> int:
-        return self.labels.index((x, y))
-
 
 def composable_pairs(rg: ReflexiveGraph) -> C2Data:
     """Pairs (x, y) with d(x) = c(y), lex ordered, with projections and
     the induced injections e1 = <1, ed> and e2 = <ec, 1>.  The induced
     injections only exist when d e = 1 = c e, so a non-reflexive graph
     is rejected here."""
-    labels = tuple((x, y) for x in range(rg.C1) for y in range(rg.C1)
-                   if rg.d.table[x] == rg.c.table[y])
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    pi1 = FinMap(n, rg.C1, tuple(x for x, _ in labels))
-    pi2 = FinMap(n, rg.C1, tuple(y for _, y in labels))
+    pb = pullback(rg.c, rg.d)
+    index = {lab: i for i, lab in enumerate(pb.labels)}
+    n = pb.size
     ed = compose(rg.e, rg.d)
     ec = compose(rg.e, rg.c)
     try:
@@ -120,15 +114,7 @@ def composable_pairs(rg: ReflexiveGraph) -> C2Data:
     except KeyError as exc:
         raise IllTyped("graph is not reflexive: the canonical injections "
                        f"into the composable pairs miss at {exc}") from None
-    return C2Data(labels, pi1, pi2, e1, e2)
-
-
-def composable_triples(rg: ReflexiveGraph) -> tuple[tuple[int, int, int], ...]:
-    return tuple((x, y, z)
-                 for x in range(rg.C1) for y in range(rg.C1)
-                 if rg.d.table[x] == rg.c.table[y]
-                 for z in range(rg.C1)
-                 if rg.d.table[y] == rg.c.table[z])
+    return C2Data(pb.labels, pb.p1, pb.p2, e1, e2)
 
 
 @dataclass(frozen=True)
@@ -182,14 +168,19 @@ def validate_category(mg: MultiplicativeGraph) -> Report:
     rep = validate_unital_multiplicative_graph(mg)
     if not rep.ok:
         return rep
-    index = {lab: i for i, lab in enumerate(mg.c2.labels)}
+    labels = mg.c2.labels
+    index = {lab: i for i, lab in enumerate(labels)}
     m = mg.m.table
-    for (x, y, z) in composable_triples(mg.rg):
-        left = m[index[(x, m[index[(y, z)]])]]
-        right = m[index[(m[index[(x, y)]], z)]]
-        if left != right:
-            return fails("validate", {"equation": "m(1 x m) = m(m x 1)",
-                                      "element": [x, y, z]})
+    # Composable triples (x, y, z): the pairs (x, y) and (y, z) joined on y.
+    starting_at = fibres(mg.c2.pi1.table)
+    for i, (x, y) in enumerate(labels):
+        for j in starting_at.get(y, ()):
+            z = labels[j][1]
+            left = m[index[(x, m[j])]]
+            right = m[index[(m[i], z)]]
+            if left != right:
+                return fails("validate", {"equation": "m(1 x m) = m(m x 1)",
+                                          "element": [x, y, z]})
     return holds("validate", ["associativity holds on composable triples"])
 
 
@@ -249,44 +240,26 @@ class KpcResult:
     def size(self) -> int:
         return len(self.triples)
 
-    def triple_index(self, t: tuple[int, int, int]) -> int:
-        return self.triples.index(t)
-
 
 def _kpc_generic(span: Span, first: FinMap, second: FinMap, swapped: bool) -> KpcResult:
-    D = span.D
-    pairs_first = tuple((x, y) for x in range(D) for y in range(D)
-                        if first.table[x] == first.table[y])
-    pairs_second = tuple((y, z) for y in range(D) for z in range(D)
-                         if second.table[y] == second.table[z])
-    pf_index = {p: i for i, p in enumerate(pairs_first)}
-    ps_index = {p: i for i, p in enumerate(pairs_second)}
-    triples = tuple((x, y, z)
-                    for x in range(D) for y in range(D)
-                    if first.table[x] == first.table[y]
-                    for z in range(D)
-                    if second.table[y] == second.table[z])
+    # The kernel pairs of first and second, and the triples as their
+    # pairs (x, y) and (y, z) joined on y.
+    kf, ks = pullback(first, first), pullback(second, second)
+    pb = pullback(ks.p1, kf.p2)
+    triples = tuple([kf.labels[i] + (ks.labels[j][1],) for i, j in pb.labels])
     t_index = {t: i for i, t in enumerate(triples)}
     n = len(triples)
-    d1 = FinMap(len(pairs_first), D, tuple(x for x, _ in pairs_first))
-    d2 = FinMap(len(pairs_first), D, tuple(y for _, y in pairs_first))
-    c1 = FinMap(len(pairs_second), D, tuple(y for y, _ in pairs_second))
-    c2 = FinMap(len(pairs_second), D, tuple(z for _, z in pairs_second))
-    p1 = FinMap(n, len(pairs_first), tuple(pf_index[(x, y)] for x, y, _ in triples))
-    p2 = FinMap(n, len(pairs_second), tuple(ps_index[(y, z)] for _, y, z in triples))
-    e1 = FinMap(len(pairs_first), n,
-                tuple(t_index[(x, y, y)] for x, y in pairs_first))
-    e2 = FinMap(len(pairs_second), n,
-                tuple(t_index[(y, y, z)] for y, z in pairs_second))
-    proj_x = FinMap(n, D, tuple(x for x, _, _ in triples))
-    proj_y = FinMap(n, D, tuple(y for _, y, _ in triples))
-    proj_z = FinMap(n, D, tuple(z for _, _, z in triples))
-    delta = FinMap(D, n, tuple(t_index[(w, w, w)] for w in range(D)))
+    e1 = FinMap(kf.size, n, tuple(t_index[(x, y, y)] for x, y in kf.labels))
+    e2 = FinMap(ks.size, n, tuple(t_index[(y, y, z)] for y, z in ks.labels))
+    proj_x = compose(kf.p1, pb.p1)
+    proj_y = compose(kf.p2, pb.p1)
+    proj_z = compose(ks.p2, pb.p2)
+    delta = FinMap(span.D, n, tuple(t_index[(w, w, w)] for w in range(span.D)))
     dom, cod = (proj_z, proj_x) if swapped else (proj_x, proj_z)
     graph = ReflexiveGraph(dom, cod, delta)
-    return KpcResult(span, swapped, triples, pairs_first, pairs_second,
-                     d1, d2, c1, c2, p1, p2, e1, e2, dom, proj_y, cod,
-                     delta, graph)
+    return KpcResult(span, swapped, triples, kf.labels, ks.labels,
+                     kf.p1, kf.p2, ks.p1, ks.p2, pb.p1, pb.p2, e1, e2,
+                     dom, proj_y, cod, delta, graph)
 
 
 def kpc(span: Span) -> KpcResult:
@@ -481,12 +454,8 @@ def kite_from_span(span: Span) -> DirectedKite:
     """The kernel pair construction as a directed kite; its
     multiplications correspond to pregroupoid structures on the span."""
     k = kpc(span)
-    pf_index = {p: i for i, p in enumerate(k.pairs_first)}
-    ps_index = {p: i for i, p in enumerate(k.pairs_second)}
-    r = FinMap(span.D, len(k.pairs_first),
-               tuple(pf_index[(y, y)] for y in range(span.D)))
-    s = FinMap(span.D, len(k.pairs_second),
-               tuple(ps_index[(y, y)] for y in range(span.D)))
+    # r and s are the diagonals y -> (y, y) of the two kernel pairs.
+    r, s = compose(k.p1, k.delta), compose(k.p2, k.delta)
     return DirectedKite(f=k.d2, r=r, s=s, g=k.c1,
                         alpha=k.d1, beta=identity(span.D), gamma=k.c2,
                         d=span.d, c=span.c)
@@ -575,20 +544,7 @@ def umg_multiplications(rg: ReflexiveGraph) -> list[FinMap]:
         if pins.get(i, x) != x:
             return []
         pins[i] = x
-    allowed = []
-    for i, (x, y) in enumerate(c2.labels):
-        if i in pins:
-            w = pins[i]
-            ok = (rg.d.table[w] == rg.d.table[y] and rg.c.table[w] == rg.c.table[x])
-            allowed.append((w,) if ok else ())
-        else:
-            allowed.append(tuple(w for w in range(rg.C1)
-                                 if rg.d.table[w] == rg.d.table[y]
-                                 and rg.c.table[w] == rg.c.table[x]))
-    out: list[FinMap] = []
+    allowed = pinned_fibres(rg.d, rg.c, ((rg.d.table[y], rg.c.table[x])
+                                         for x, y in c2.labels), pins)
     from itertools import product
-    if any(len(a) == 0 for a in allowed):
-        return []
-    for tab in product(*allowed):
-        out.append(FinMap(c2.size, rg.C1, tab))
-    return out
+    return [FinMap(c2.size, rg.C1, tab) for tab in product(*allowed)]

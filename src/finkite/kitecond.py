@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainMismatch, HypothesisViolation, IllTyped
-from .finmaps import FinMap, compose, identity, jointly_monic, pairing_is_injective
+from .finmaps import (FinMap, compose, identity, jointly_monic,
+                      pairing_is_injective, pinned_fibres)
 from .internal import (C2Data, DirectedKite, KpcResult, Span, composable_pairs,
                        kpc, kpc_swapped, validate_directed_kite)
 from .limits import LocalProduct, SplitCospan, local_product
@@ -138,7 +139,7 @@ class SolveResult:
     report: Report
 
 
-def _count_and_enumerate(E: int, D: int, allowed: list[tuple[int, ...]],
+def _count_and_enumerate(E: int, D: int, allowed: list[Sequence[int]],
                          cap: int, command: str) -> SolveResult:
     """Exact count plus solutions in lexicographic order.  The full set
     is enumerated up to the cap; the embedded report always carries at
@@ -176,14 +177,7 @@ def solve_m(k: KiteDiagram, cap: int = 1000) -> SolveResult:
         pins[i] = k.gamma.table[x]
     d_target = compose(k.d, compose(k.gamma, k.p2))
     c_target = compose(k.c, compose(k.alpha, k.p1))
-    allowed: list[tuple[int, ...]] = []
-    for ksi in range(k.E):
-        fibre = tuple(w for w in range(k.D)
-                      if k.d.table[w] == d_target.table[ksi]
-                      and k.c.table[w] == c_target.table[ksi])
-        if ksi in pins:
-            fibre = (pins[ksi],) if pins[ksi] in fibre else ()
-        allowed.append(fibre)
+    allowed = pinned_fibres(k.d, k.c, zip(d_target.table, c_target.table), pins)
     return _count_and_enumerate(k.E, k.D, allowed, cap, "kite-solve")
 
 
@@ -439,14 +433,8 @@ def pregroupoid_solutions(span: Span, cap: int = 1000) -> SolveResult:
             if i in pins and pins[i] != z:
                 return SolveResult(0, (), False, counted("pregroupoid", 0))
             pins[i] = z
-    allowed: list[tuple[int, ...]] = []
-    for i, (x, y, z) in enumerate(k.triples):
-        fibre = tuple(w for w in range(span.D)
-                      if span.d.table[w] == span.d.table[z]
-                      and span.c.table[w] == span.c.table[x])
-        if i in pins:
-            fibre = (pins[i],) if pins[i] in fibre else ()
-        allowed.append(fibre)
+    allowed = pinned_fibres(span.d, span.c, ((span.d.table[z], span.c.table[x])
+                                             for x, _, z in k.triples), pins)
     return _count_and_enumerate(k.size, span.D, allowed, cap, "pregroupoid")
 
 
@@ -464,16 +452,13 @@ def kite5_pairing(span: Span, cap: int = 1000) -> Report:
                                        "pregroupoid": pre_res.count})
     if not kite_res.truncated and not pre_res.truncated:
         k = kpc(span)
-        pf = {i: p for i, p in enumerate(k.pairs_first)}
-        ps = {i: p for i, p in enumerate(k.pairs_second)}
         t_index = {t: i for i, t in enumerate(k.triples)}
-        relabel = []
-        for (ai, ci) in lp.element_labels:
-            x, y = pf[ai]
-            y2, z = ps[ci]
-            relabel.append(t_index[(x, y, z)])
-        kite_tables = sorted(tuple(sol.table[relabel.index(i)]
-                                   for i in range(len(relabel)))
+        # inverse[t] is the point of E that the relabelling sends to triple t.
+        inverse = [0] * k.size
+        for ksi, (ai, ci) in enumerate(lp.element_labels):
+            (x, y), z = k.pairs_first[ai], k.pairs_second[ci][1]
+            inverse[t_index[(x, y, z)]] = ksi
+        kite_tables = sorted(tuple(sol.table[ksi] for ksi in inverse)
                              for sol in kite_res.solutions)
         pre_tables = sorted(sol.table for sol in pre_res.solutions)
         if kite_tables != pre_tables:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CompatibilityViolation, DomainMismatch, InvalidSplitting
-from .finmaps import (FinMap, compose, identity, jointly_monic,
-                      pairing_is_injective)
+from .finmaps import (FinMap, compose, fibres, identity, jointly_monic,
+                      pairing_is_injective, pinned_fibres)
 from .report import Report, counted, fails, holds
 
 
@@ -26,19 +26,21 @@ class Pullback:
     def size(self) -> int:
         return len(self.labels)
 
-    def index(self, a: int, c: int) -> int:
-        return self.labels.index((a, c))
-
 
 def pullback(g: FinMap, f: FinMap) -> Pullback:
-    """The pullback of g along f, for f: A -> B and g: C -> B."""
+    """The pullback of g along f, for f: A -> B and g: C -> B.
+
+    g's domain is bucketed by value once and each a meets only its own
+    ascending fibre, so the cost is O(A + C + |P|) with the labels in
+    lexicographic order."""
     if f.cod != g.cod:
         raise DomainMismatch(
             f"pullback needs a common codomain ({f.cod} vs {g.cod})")
-    labels = tuple((a, c) for a in range(f.dom) for c in range(g.dom)
-                   if f.table[a] == g.table[c])
-    p1 = FinMap(len(labels), f.dom, tuple(a for a, _ in labels))
-    p2 = FinMap(len(labels), g.dom, tuple(c for _, c in labels))
+    over = fibres(g.table)
+    labels = tuple([(a, c) for a, b in enumerate(f.table)
+                    for c in over.get(b, ())])
+    p1 = FinMap(len(labels), f.dom, tuple([a for a, _ in labels]))
+    p2 = FinMap(len(labels), g.dom, tuple([c for _, c in labels]))
     return Pullback(labels, p1, p2)
 
 
@@ -102,9 +104,12 @@ def local_product(sc: SplitCospan) -> LocalProduct:
 def kernel_pair(h: FinMap):
     """Pairs (x, y) with h(x) = h(y), projections, and the diagonal."""
     pb = pullback(h, h)
-    index = {lab: i for i, lab in enumerate(pb.labels)}
-    diag = FinMap(h.dom, pb.size, tuple(index[(y, y)] for y in range(h.dom)))
-    return KernelPairData(pb.labels, pb.p1, pb.p2, diag)
+    diag = [0] * h.dom
+    for i, (x, y) in enumerate(pb.labels):
+        if x == y:
+            diag[x] = i
+    return KernelPairData(pb.labels, pb.p1, pb.p2,
+                          FinMap(h.dom, pb.size, tuple(diag)))
 
 
 @dataclass(frozen=True)
@@ -169,30 +174,27 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
     details.append("condition 3 holds: (p1, p2) jointly monic")
 
     # Condition 4 on one-point stages: each compatible pair (a, c) must be
-    # hit by some element of E (uniqueness already follows from 3).
-    hit = {(p1.table[x], p2.table[x]): x for x in range(E)}
+    # hit by some element of E (uniqueness already follows from 3).  The
+    # compatible pairs are joined on their common key, a then c ascending.
+    hit = set(zip(p1.table, p2.table))
     p1e2, p2e1 = compose(p1, e2), compose(p2, e1)
     p1e2p2e1 = compose(p1e2, p2e1)
     p2e1p1e2 = compose(p2e1, p1e2)
-    for a in range(A):
-        for c in range(C):
-            if p1e2p2e1.table[a] == p1e2.table[c] and \
-               p2e1.table[a] == p2e1p1e2.table[c]:
-                if (a, c) not in hit:
-                    return IntrinsicCheck(
-                        fails(cmd, {"condition": 4, "pair": [a, c]},
-                              ["a compatible pair is not reached by E"]),
-                        None, None, None)
+    over = fibres(zip(p1e2.table, p2e1p1e2.table))
+    for a, key in enumerate(zip(p1e2p2e1.table, p2e1.table)):
+        for c in over.get(key, ()):
+            if (a, c) not in hit:
+                return IntrinsicCheck(
+                    fails(cmd, {"condition": 4, "pair": [a, c]},
+                          ["a compatible pair is not reached by E"]),
+                    None, None, None)
     details.append("condition 4 holds on one-point stages")
 
     # Reconstruction per the sufficiency argument: B is the pullback of the
     # split mono e1 along the split mono e2, f and g the displayed pairings.
-    b_labels = tuple((a, c) for a in range(A) for c in range(C)
-                     if e1.table[a] == e2.table[c])
-    b_index = {lab: i for i, lab in enumerate(b_labels)}
-    nB = len(b_labels)
-    r = FinMap(nB, A, tuple(a for a, _ in b_labels))
-    s = FinMap(nB, C, tuple(c for _, c in b_labels))
+    pb = pullback(e2, e1)
+    b_index = {lab: i for i, lab in enumerate(pb.labels)}
+    nB, r, s = pb.size, pb.p1, pb.p2
     f = FinMap(A, nB, tuple(b_index[(p1e2p2e1.table[a], p2e1.table[a])]
                             for a in range(A)))
     g = FinMap(C, nB, tuple(b_index[(p1e2.table[c], p2e1p1e2.table[c])]
@@ -352,15 +354,7 @@ def extremal_instance_check(lp: LocalProduct, d: FinMap, c: FinMap,
             return ExtremalResult(0, (), counted("extremal", 0))
         pins[ksi] = gamma.table[x]
 
-    allowed: list[tuple[int, ...]] = []
-    for ksi in range(lp.E):
-        fibre = tuple(w for w in range(d.dom)
-                      if d.table[w] == d_target.table[ksi]
-                      and c.table[w] == c_target.table[ksi])
-        if ksi in pins:
-            fibre = fibre if pins[ksi] in fibre else ()
-            fibre = (pins[ksi],) if fibre else ()
-        allowed.append(fibre)
+    allowed = pinned_fibres(d, c, zip(d_target.table, c_target.table), pins)
     count = 1
     for fibre in allowed:
         count *= len(fibre)

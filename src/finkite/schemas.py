@@ -123,10 +123,18 @@ def schema_text(name: str) -> str:
     return json.dumps(SCHEMAS[name], indent=2, sort_keys=True)
 
 
-def _need(obj: dict, field: str, where: str):
+def _need(obj: Any, field: str, where: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object, got "
+                          f"{type(obj).__name__}")
     if field not in obj:
         raise SchemaError(f"{where}: missing field {field!r}")
     return obj[field]
+
+
+def _is_int(v: Any) -> bool:
+    """JSON integers only: true and false are not 1 and 0."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def load_finmap(obj: Any, where: str = "finmap",
@@ -136,7 +144,7 @@ def load_finmap(obj: Any, where: str = "finmap",
     dom = _need(obj, "dom", where)
     cod = _need(obj, "cod", where)
     table = _need(obj, "table", where)
-    if not isinstance(dom, int) or not isinstance(cod, int):
+    if not _is_int(dom) or not _is_int(cod):
         raise SchemaError(f"{where}: dom and cod must be integers")
     if not isinstance(table, list):
         raise SchemaError(f"{where}: table must be a list")
@@ -145,7 +153,7 @@ def load_finmap(obj: Any, where: str = "finmap",
     if len(table) != dom:
         raise SchemaError(f"{where}: table length {len(table)} != dom {dom}")
     for i, v in enumerate(table):
-        if not isinstance(v, int) or not (0 <= v < cod):
+        if not _is_int(v) or not (0 <= v < cod):
             raise SchemaError(f"{where}: table[{i}] = {v!r} out of range for "
                            f"cod {cod}")
     return FinMap(dom, cod, tuple(table))
@@ -227,7 +235,7 @@ def load_admissibility_kite(obj: dict, max_size=None) -> AdmissibilityKite:
 
 def load_algebra(obj: dict, variety: Optional[str] = None) -> OpAlgebra:
     size = _need(obj, "size", "algebra")
-    if not isinstance(size, int) or size < 0:
+    if not _is_int(size) or size < 0:
         raise SchemaError("algebra.size: must be a non-negative integer")
     ops_raw = _need(obj, "ops", "algebra")
     if not isinstance(ops_raw, list):
@@ -238,7 +246,7 @@ def load_algebra(obj: dict, variety: Optional[str] = None) -> OpAlgebra:
         symbol = _need(op, "symbol", where)
         arity = _need(op, "arity", where)
         table = _need(op, "table", where)
-        if not isinstance(arity, int) or arity < 0:
+        if not _is_int(arity) or arity < 0:
             raise SchemaError(f"{where}.arity: must be a non-negative integer")
         if not isinstance(table, list):
             raise SchemaError(f"{where}.table: must be a list")
@@ -246,7 +254,7 @@ def load_algebra(obj: dict, variety: Optional[str] = None) -> OpAlgebra:
             raise SchemaError(f"{where}.table: length {len(table)}, expected "
                            f"{size ** arity}")
         for j, v in enumerate(table):
-            if not isinstance(v, int) or not (0 <= v < size):
+            if not _is_int(v) or not (0 <= v < size):
                 raise SchemaError(f"{where}.table[{j}] = {v!r} out of range")
         ops.append(Operation(str(symbol), arity, tuple(table)))
     tag = variety or obj.get("variety", "custom")
@@ -265,7 +273,7 @@ def load_variety_kite(obj: dict) -> VarietyKite:
     homs = {}
     for n in ("f", "r", "s", "g", "alpha", "beta", "gamma"):
         h = _need(obj, n, "variety_kite")
-        if not isinstance(h, list) or not all(isinstance(v, int) for v in h):
+        if not isinstance(h, list) or not all(_is_int(v) for v in h):
             raise SchemaError(f"variety_kite.{n}: must be a list of ints")
         homs[n] = tuple(h)
     return VarietyKite(algs["A"], algs["B"], algs["C"], algs["D"], **homs)

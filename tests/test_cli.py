@@ -194,6 +194,18 @@ def test_validate_rejects_malformed(capsys, tmp_path):
     assert code == 2
 
 
+def test_malformed_algebra_exits_2_with_one_json_line(capsys, tmp_path):
+    path = write(tmp_path, "ops5.json",
+                 {"kind": "algebra", "size": 2, "ops": [5]})
+    for command in ("validate", "classify"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["exit"] == 2
+
+
 def test_validate_pregroupoid(capsys, tmp_path):
     # x - y + z on Z_2 over the span to the point
     from finkite.internal import Span, kpc

@@ -2,9 +2,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from finkite.errors import NonCommutingSquare
-from finkite.finmaps import FinMap, compose, identity, jointly_monic
+from finkite.errors import IllTyped, NonCommutingSquare
+from finkite.finmaps import FinMap, compose, identity, jointly_monic, maps
 from finkite.gallery import (cyclic_add_table, group_pair_span, is_group_table,
                              monoid_tables, one_object_graph, one_object_umg,
                              preorder_graph_01, unital_magma_tables)
@@ -245,3 +246,161 @@ def test_noncommuting_square_raises():
                              identity(dk.d.cod), identity(dk.c.cod))
     with pytest.raises(NonCommutingSquare):
         induced_kite(h)
+
+
+# Nested-loop definitions, kept as oracles for the constructions that
+# now run through the bucketed pullback.
+
+def nested_composable_pairs(rg):
+    return [(x, y) for x in range(rg.C1) for y in range(rg.C1)
+            if rg.d.table[x] == rg.c.table[y]]
+
+
+def nested_kpc(span, swapped):
+    first, second = (span.c, span.d) if swapped else (span.d, span.c)
+    D = span.D
+    pf = [(x, y) for x in range(D) for y in range(D)
+          if first.table[x] == first.table[y]]
+    ps = [(y, z) for y in range(D) for z in range(D)
+          if second.table[y] == second.table[z]]
+    triples = [(x, y, z) for x in range(D) for y in range(D)
+               if first.table[x] == first.table[y]
+               for z in range(D) if second.table[y] == second.table[z]]
+    dom, cod = (2, 0) if swapped else (0, 2)
+    return {
+        "triples": triples, "pairs_first": pf, "pairs_second": ps,
+        "d1": [x for x, _ in pf], "d2": [y for _, y in pf],
+        "c1": [y for y, _ in ps], "c2": [z for _, z in ps],
+        "p1": [pf.index((x, y)) for x, y, _ in triples],
+        "p2": [ps.index((y, z)) for _, y, z in triples],
+        "e1": [triples.index((x, y, y)) for x, y in pf],
+        "e2": [triples.index((y, y, z)) for y, z in ps],
+        "dom": [t[dom] for t in triples], "mid": [t[1] for t in triples],
+        "cod": [t[cod] for t in triples],
+        "delta": [triples.index((w, w, w)) for w in range(D)],
+    }
+
+
+def spans(max_apex=5, max_base=3):
+    def build(sizes):
+        n, n0, n1 = sizes
+        return st.tuples(
+            st.lists(st.integers(0, n0 - 1), min_size=n, max_size=n),
+            st.lists(st.integers(0, n1 - 1), min_size=n, max_size=n)).map(
+            lambda dc: Span(FinMap(n, n0, tuple(dc[0])),
+                            FinMap(n, n1, tuple(dc[1]))))
+    return st.tuples(st.integers(0, max_apex), st.integers(1, max_base),
+                     st.integers(1, max_base)).flatmap(build)
+
+
+@st.composite
+def graphs(draw, max_objects=2, max_extra=3):
+    """Reflexive graphs, and some with one endpoint entry changed."""
+    n0 = draw(st.integers(1, max_objects))
+    n1 = n0 + draw(st.integers(0, max_extra))
+    e = draw(st.permutations(range(n1)))[:n0]
+    d = draw(st.lists(st.integers(0, n0 - 1), min_size=n1, max_size=n1))
+    c = draw(st.lists(st.integers(0, n0 - 1), min_size=n1, max_size=n1))
+    for y, x in enumerate(e):
+        d[x] = c[x] = y
+    if draw(st.booleans()):
+        leg = draw(st.sampled_from([d, c]))
+        leg[draw(st.integers(0, n1 - 1))] = draw(st.integers(0, n0 - 1))
+    return ReflexiveGraph(FinMap(n1, n0, tuple(d)), FinMap(n1, n0, tuple(c)),
+                          FinMap(n0, n1, tuple(e)))
+
+
+@given(graphs())
+@settings(max_examples=150, deadline=None)
+def test_composable_pairs_match_nested_loop(rg):
+    labels = nested_composable_pairs(rg)
+    ed = [rg.e.table[rg.d.table[x]] for x in range(rg.C1)]
+    ec = [rg.e.table[rg.c.table[y]] for y in range(rg.C1)]
+    try:
+        e1 = [labels.index((x, ed[x])) for x in range(rg.C1)]
+        e2 = [labels.index((ec[y], y)) for y in range(rg.C1)]
+    except ValueError:
+        with pytest.raises(IllTyped):
+            composable_pairs(rg)
+        return
+    c2 = composable_pairs(rg)
+    assert list(c2.labels) == labels
+    assert c2.pi1.table == tuple(x for x, _ in labels)
+    assert c2.pi2.table == tuple(y for _, y in labels)
+    assert (c2.e1.table, c2.e2.table) == (tuple(e1), tuple(e2))
+
+
+@given(spans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_kpc_matches_nested_loop(span, swapped):
+    k = (kpc_swapped if swapped else kpc)(span)
+    want = nested_kpc(span, swapped)
+    assert k.swapped == swapped
+    assert list(k.triples) == want["triples"]
+    assert list(k.pairs_first) == want["pairs_first"]
+    assert list(k.pairs_second) == want["pairs_second"]
+    for name in ("d1", "d2", "c1", "c2", "p1", "p2", "e1", "e2",
+                 "dom", "mid", "cod", "delta"):
+        assert getattr(k, name).table == tuple(want[name]), name
+    assert (k.p1.dom, k.p1.cod) == (k.size, len(want["pairs_first"]))
+    assert (k.p2.dom, k.p2.cod) == (k.size, len(want["pairs_second"]))
+    assert k.graph == ReflexiveGraph(k.dom, k.cod, k.delta)
+
+
+def brute_umg(rg):
+    """Unital multiplications by filtering every map C2 -> C1."""
+    labels = nested_composable_pairs(rg)
+    out = []
+    for m in maps(len(labels), rg.C1):
+        t = m.table
+        if all(rg.d.table[t[i]] == rg.d.table[y]
+               and rg.c.table[t[i]] == rg.c.table[x]
+               and (y != rg.e.table[rg.d.table[x]] or t[i] == x)
+               and (x != rg.e.table[rg.c.table[y]] or t[i] == y)
+               for i, (x, y) in enumerate(labels)):
+            out.append(t)
+    return out
+
+
+def nested_associativity_witness(mg):
+    labels = list(mg.c2.labels)
+    m = mg.m.table
+
+    def at(x, y):
+        return m[labels.index((x, y))]
+
+    for x, y, z in ((x, y, z) for x in range(mg.rg.C1)
+                    for y in range(mg.rg.C1) for z in range(mg.rg.C1)
+                    if mg.rg.d.table[x] == mg.rg.c.table[y]
+                    and mg.rg.d.table[y] == mg.rg.c.table[z]):
+        if at(x, at(y, z)) != at(at(x, y), z):
+            return [x, y, z]
+    return None
+
+
+@given(graphs())
+@settings(max_examples=150, deadline=None)
+def test_umg_multiplications_and_category_check_match_brute_force(rg):
+    assume(validate_reflexive_graph(rg).ok)
+    size = len(nested_composable_pairs(rg))
+    assume(rg.C1 ** size <= 4096)
+    sols = umg_multiplications(rg)
+    assert [s.table for s in sols] == brute_umg(rg)
+    for m in sols:
+        mg = MultiplicativeGraph(rg, m)
+        rep = validate_category(mg)
+        witness = nested_associativity_witness(mg)
+        assert rep.ok == (witness is None)
+        if witness is not None:
+            assert rep.witness["element"] == witness
+
+
+def test_category_check_matches_nested_loop_on_unital_magmas():
+    for n in (1, 2, 3):
+        for table in unital_magma_tables(n):
+            mg = one_object_umg(table)
+            rep = validate_category(mg)
+            witness = nested_associativity_witness(mg)
+            assert rep.ok == (witness is None)
+            if witness is not None:
+                assert rep.witness["element"] == witness

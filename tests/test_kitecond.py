@@ -2,12 +2,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from finkite.errors import HypothesisViolation, IllTyped
-from finkite.finmaps import FinMap, compose, identity, maps
+from finkite.finmaps import FinMap, compose, identity, jointly_monic, maps
 from finkite.gallery import (group_kite, group_kite_bundle, group_pair_maltsev,
-                             group_pair_span, monoid_tables, one_object_umg,
-                             preorder_graph_01, terminal_span_kite)
+                             group_pair_span, is_associative_table,
+                             monoid_tables, one_object_umg, preorder_graph_01,
+                             terminal_span_kite, unital_magma_tables)
 from finkite.internal import (Span, kite_from_cat, kite_from_rg,
                               kite_from_span, kite_from_umg, kpc_swapped,
                               umg_multiplications)
@@ -16,7 +18,7 @@ from finkite.kitecond import (AdmissibilityKite, KiteDiagram, admissibility_coun
                               delta_identity_check, kite5_pairing, maltsev_mu,
                               pregroupoid_solutions, solve_m, theta,
                               wm_object_check_finset)
-from finkite.limits import SplitCospan, local_product
+from finkite.limits import SplitCospan, extremal_instance_check, local_product
 
 
 def witness_kite_diagram(n):
@@ -266,3 +268,93 @@ def test_solve_m_truncation_cap():
     assert res.count == 4 ** 9
     assert res.truncated and len(res.solutions) == 2
     assert res.solutions[0].table < res.solutions[1].table
+
+
+# Brute-force oracles: filter every map into D by the defining equations.
+
+def brute_kite_solutions(kd):
+    """m: E -> D with m e1 = alpha, m e2 = gamma, d m = d gamma p2 and
+    c m = c alpha p1, in lexicographic order."""
+    out = []
+    for m in maps(kd.E, kd.D):
+        t = m.table
+        if (all(t[kd.e1.table[a]] == kd.alpha.table[a] for a in range(kd.A))
+                and all(t[kd.e2.table[x]] == kd.gamma.table[x]
+                        for x in range(kd.C))
+                and all(kd.d.table[t[i]]
+                        == kd.d.table[kd.gamma.table[kd.p2.table[i]]]
+                        and kd.c.table[t[i]]
+                        == kd.c.table[kd.alpha.table[kd.p1.table[i]]]
+                        for i in range(kd.E))):
+            out.append(t)
+    return out
+
+
+def brute_pregroupoids(span):
+    d, c, D = span.d.table, span.c.table, span.D
+    triples = [(x, y, z) for x in range(D) for y in range(D) if d[x] == d[y]
+               for z in range(D) if c[y] == c[z]]
+    return [m.table for m in maps(len(triples), D)
+            if all((y != z or w == x) and (x != y or w == z)
+                   and d[w] == d[z] and c[w] == c[x]
+                   for w, (x, y, z) in zip(m.table, triples))]
+
+
+def small_spans():
+    def build(sizes):
+        n, n0, n1 = sizes
+        return st.tuples(
+            st.lists(st.integers(0, n0 - 1), min_size=n, max_size=n),
+            st.lists(st.integers(0, n1 - 1), min_size=n, max_size=n)).map(
+            lambda dc: Span(FinMap(n, n0, tuple(dc[0])),
+                            FinMap(n, n1, tuple(dc[1]))))
+    return st.tuples(st.integers(0, 3), st.integers(1, 3),
+                     st.integers(1, 3)).flatmap(build)
+
+
+def assert_same_solutions(res, want):
+    assert res.count == len(want)
+    assert [s.table for s in res.solutions[:2]] == want[:2]
+    assert res.report.solutions == tuple(list(t) for t in want[:2])
+
+
+def solver_kites():
+    """The gallery's kites with n <= 2 (the brute force keeps those with
+    at most 4096 maps E -> D)."""
+    for n in (1, 2):
+        yield group_kite(n)
+        yield terminal_span_kite(n)
+        yield witness_kite_diagram(n)
+        for table in unital_magma_tables(n):
+            mg = one_object_umg(table)
+            yield assemble_kite(kite_from_rg(mg.rg))[0]
+            yield assemble_kite(kite_from_umg(mg))[0]
+            if is_associative_table(table):
+                yield assemble_kite(kite_from_cat(mg))[0]
+    yield assemble_kite(kite_from_rg(preorder_graph_01()))[0]
+
+
+def test_solve_m_matches_brute_force_on_gallery_kites():
+    for kd in solver_kites():
+        if kd.D ** kd.E > 4096:
+            continue
+        want = brute_kite_solutions(kd)
+        assert_same_solutions(solve_m(kd, cap=len(want) + 1), want)
+        assert_same_solutions(solve_m(kd, cap=1), want)
+
+
+@given(small_spans())
+@settings(max_examples=120, deadline=None)
+def test_span_solvers_match_brute_force(span):
+    kd, lp = assemble_kite(kite_from_span(span))
+    assume(kd.D ** kd.E <= 4096)
+    want = brute_kite_solutions(kd)
+    assert_same_solutions(solve_m(kd), want)
+    span_class = "M1" if jointly_monic(span.d, span.c) else "M0"
+    ext = extremal_instance_check(lp, span.d, span.c, kd.alpha, kd.gamma,
+                                  span_class)
+    assert ext.count == len(want)
+    assert [s.table for s in ext.solutions] == want[:2]
+    pre = pregroupoid_solutions(span)
+    assert_same_solutions(pre, brute_pregroupoids(span))
+    assert kite5_pairing(span).ok

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finkite.errors import CompatibilityViolation, DomainMismatch, InvalidSplitting
 from finkite.finmaps import FinMap, compose, identity, jointly_epic, jointly_monic
@@ -221,3 +222,146 @@ def test_extremal_check_m0_counts_free_points():
                                   span_class="M0")
     assert res.count == 2
     assert len(res.solutions) == 2
+
+
+# Nested-loop definitions, kept as oracles for the bucketed constructions.
+
+def nested_pullback(g, f):
+    return [(a, c) for a in range(f.dom) for c in range(g.dom)
+            if f.table[a] == g.table[c]]
+
+
+def nested_intrinsic_check(p1, p2, e1, e2):
+    """(failing condition, witness) of the intrinsic local-product check,
+    or (None, B) with B the reconstructed pairs, by nested loops."""
+    E, A, C = p1.dom, p1.cod, p2.cod
+    for a in range(A):
+        if p1.table[e1.table[a]] != a:
+            return 1, {"condition": 1, "element": a}
+    for c in range(C):
+        if p2.table[e2.table[c]] != c:
+            return 1, {"condition": 1, "element": c}
+    e1p1 = [e1.table[p1.table[x]] for x in range(E)]
+    e2p2 = [e2.table[p2.table[x]] for x in range(E)]
+    for x in range(E):
+        if e1p1[e2p2[x]] != e2p2[e1p1[x]]:
+            return 2, {"condition": 2, "element": x}
+    for y in range(E):
+        for x in range(y):
+            if (p1.table[x], p2.table[x]) == (p1.table[y], p2.table[y]):
+                return 3, {"condition": 3, "elements": [x, y]}
+    hit = [(p1.table[x], p2.table[x]) for x in range(E)]
+    for a in range(A):
+        for c in range(C):
+            if (p1.table[e2.table[p2.table[e1.table[a]]]] == p1.table[e2.table[c]]
+                    and p2.table[e1.table[a]]
+                    == p2.table[e1.table[p1.table[e2.table[c]]]]
+                    and (a, c) not in hit):
+                return 4, {"condition": 4, "pair": [a, c]}
+    return None, nested_pullback(e2, e1)
+
+
+def split_cospans(max_size=4):
+    """Split cospans f: A -> B, g: C -> B with sections r, s."""
+    def split_epi(b):
+        return st.integers(b, max_size).flatmap(lambda a: st.tuples(
+            st.permutations(range(a)),
+            st.lists(st.integers(0, b - 1), min_size=a, max_size=a)))
+
+    def build(b, left, right):
+        legs = []
+        for perm, table in (left, right):
+            table = list(table)
+            section = perm[:b]
+            for i, x in enumerate(section):
+                table[x] = i
+            legs += [FinMap(len(table), b, tuple(table)),
+                     FinMap(b, len(table), tuple(section))]
+        return SplitCospan(*legs)
+
+    return st.integers(1, max_size).flatmap(
+        lambda b: st.tuples(split_epi(b), split_epi(b)).map(
+            lambda lr: build(b, *lr)))
+
+
+def maps_into(cod_max=4, dom_max=5):
+    return st.tuples(st.integers(0, dom_max), st.integers(1, cod_max)).flatmap(
+        lambda s: st.lists(st.integers(0, s[1] - 1), min_size=s[0],
+                           max_size=s[0]).map(
+            lambda t, cod=s[1]: FinMap(len(t), cod, tuple(t))))
+
+
+@given(maps_into(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pullback_matches_nested_loop(f, data):
+    g = data.draw(st.lists(st.integers(0, f.cod - 1), max_size=5).map(
+        lambda t: FinMap(len(t), f.cod, tuple(t))))
+    pb = pullback(g, f)
+    want = nested_pullback(g, f)
+    assert list(pb.labels) == want
+    assert (pb.p1.dom, pb.p1.cod) == (len(want), f.dom)
+    assert (pb.p2.dom, pb.p2.cod) == (len(want), g.dom)
+    assert pb.p1.table == tuple(a for a, _ in want)
+    assert pb.p2.table == tuple(c for _, c in want)
+
+
+@given(maps_into())
+@settings(max_examples=100, deadline=None)
+def test_kernel_pair_matches_nested_loop(h):
+    kp = kernel_pair(h)
+    want = nested_pullback(h, h)
+    assert list(kp.pairs) == want
+    assert kp.p1.table == tuple(x for x, _ in want)
+    assert kp.p2.table == tuple(y for _, y in want)
+    assert kp.diagonal.table == tuple(want.index((y, y)) for y in range(h.dom))
+    assert kp.diagonal.cod == len(want)
+
+
+def perturb(lp, data):
+    """The local product's diagram, or one with an entry changed, or with
+    some off-cross points of E deleted (which fails condition 4)."""
+    maps = {"p1": lp.p1, "p2": lp.p2, "e1": lp.e1, "e2": lp.e2}
+    kind = data.draw(st.sampled_from(["none", "entry", "delete"]))
+    off = sorted(set(range(lp.E)) - set(lp.e1.table) - set(lp.e2.table))
+    if kind == "entry":
+        name = data.draw(st.sampled_from(sorted(maps)))
+        m = maps[name]
+        if m.dom:
+            i = data.draw(st.integers(0, m.dom - 1))
+            table = list(m.table)
+            table[i] = data.draw(st.integers(0, m.cod - 1))
+            maps[name] = FinMap(m.dom, m.cod, tuple(table))
+    elif kind == "delete" and off:
+        gone = set(data.draw(st.lists(st.sampled_from(off), min_size=1)))
+        keep = [x for x in range(lp.E) if x not in gone]
+        new = {x: i for i, x in enumerate(keep)}
+        E = len(keep)
+        maps["p1"] = FinMap(E, lp.p1.cod, tuple(lp.p1.table[x] for x in keep))
+        maps["p2"] = FinMap(E, lp.p2.cod, tuple(lp.p2.table[x] for x in keep))
+        maps["e1"] = FinMap(lp.e1.dom, E, tuple(new[x] for x in lp.e1.table))
+        maps["e2"] = FinMap(lp.e2.dom, E, tuple(new[x] for x in lp.e2.table))
+    return maps["p1"], maps["p2"], maps["e1"], maps["e2"]
+
+
+@given(split_cospans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_intrinsic_check_matches_nested_loop_on_perturbed_diagrams(sc, data):
+    p1, p2, e1, e2 = perturb(local_product(sc), data)
+    res = check_local_product_intrinsic(p1, p2, e1, e2)
+    condition, want = nested_intrinsic_check(p1, p2, e1, e2)
+    if condition is not None:
+        assert not res.report.ok
+        assert res.report.witness == want
+        return
+    assert res.report.ok
+    assert res.cospan.r.table == tuple(a for a, _ in want)
+    assert res.cospan.s.table == tuple(c for _, c in want)
+    assert res.cospan.f.table == tuple(
+        want.index((p1.table[e2.table[p2.table[e1.table[a]]]],
+                    p2.table[e1.table[a]])) for a in range(p1.cod))
+    assert res.cospan.g.table == tuple(
+        want.index((p1.table[e2.table[c]],
+                    p2.table[e1.table[p1.table[e2.table[c]]]]))
+        for c in range(p2.cod))
+    assert res.regenerated.element_labels == tuple(
+        nested_pullback(res.cospan.g, res.cospan.f))

@@ -58,3 +58,38 @@ def test_schema_text_known_names():
         assert schema_text(name)
     with pytest.raises(SchemaError):
         schema_text("bogus")
+
+
+def test_non_object_entry_is_a_schema_error():
+    with pytest.raises(SchemaError) as exc:
+        load_algebra({"kind": "algebra", "size": 2, "ops": [5]})
+    assert "algebra.ops[0]" in str(exc.value)
+    with pytest.raises(SchemaError) as exc:
+        load_span({"d": {"dom": 0, "cod": 1, "table": []}, "c": [1]})
+    assert "span.c" in str(exc.value)
+
+
+def test_finmap_rejects_bool_entries():
+    with pytest.raises(SchemaError) as exc:
+        load_finmap({"dom": 2, "cod": 2, "table": [True, False]})
+    assert "table[0]" in str(exc.value)
+    with pytest.raises(SchemaError):
+        load_finmap({"dom": True, "cod": 2, "table": [0]})
+
+
+def test_algebra_rejects_bool_entries():
+    op = {"symbol": "*", "arity": 1, "table": [0, 1]}
+    for bad in ({"size": True, "ops": []},
+                {"size": 2, "ops": [{**op, "arity": True}]},
+                {"size": 2, "ops": [{**op, "table": [0, True]}]}):
+        with pytest.raises(SchemaError):
+            load_algebra(bad)
+
+
+def test_variety_kite_rejects_bool_homs():
+    from finkite.algebra import wm_witness_search
+    obj = dump_variety_kite(wm_witness_search(meet_semilattice2()))
+    obj["f"] = [bool(v) for v in obj["f"]]
+    with pytest.raises(SchemaError) as exc:
+        load_variety_kite(obj)
+    assert "variety_kite.f" in str(exc.value)
