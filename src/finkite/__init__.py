@@ -2,7 +2,7 @@
 constructions, internal structures, kite solvers and weakly-Mal'tsev
 classification of finite algebras."""
 
-from .finmaps import FinMap, FinSet, compose, identity, ismember
+from .finmaps import FinMap, compose, identity, ismember
 from .limits import SplitCospan, local_product, pullback
 from .internal import ReflexiveGraph, Span, kpc, kpc_swapped
 from .kitecond import KiteDiagram, check_hypotheses, solve_m
@@ -10,7 +10,7 @@ from .algebra import OpAlgebra, Operation
 from .report import Report
 
 __all__ = [
-    "FinMap", "FinSet", "compose", "identity", "ismember",
+    "FinMap", "compose", "identity", "ismember",
     "SplitCospan", "local_product", "pullback",
     "ReflexiveGraph", "Span", "kpc", "kpc_swapped",
     "KiteDiagram", "check_hypotheses", "solve_m",

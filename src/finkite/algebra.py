@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 from .errors import (BudgetExceeded, IllTyped, MissingOperation,
                      MultipleSolutions, NoSolution, NotAHomomorphism,
                      UnsupportedVariety)
+from .finmaps import cross_pins, fibres, index_of
 from .report import Report, fails, holds
 
 VARIETIES = ("magma", "cmag", "dimagma", "unary_monoid", "lattice",
@@ -46,10 +47,9 @@ class OpAlgebra:
         if self.variety not in VARIETIES:
             raise UnsupportedVariety(f"unknown variety tag {self.variety!r}")
         for op in self.ops:
-            expected = self.size ** op.arity
-            if len(op.table) != expected:
-                raise IllTyped(f"operation {op.symbol}: table length "
-                               f"{len(op.table)}, expected {expected}")
+            mismatch = _table_length_error(self.size, op.arity, len(op.table))
+            if mismatch is not None:
+                raise IllTyped(f"operation {op.symbol}: table {mismatch}")
             for i, v in enumerate(op.table):
                 if not (0 <= v < self.size):
                     raise IllTyped(f"operation {op.symbol}: entry {v} at "
@@ -74,6 +74,18 @@ class OpAlgebra:
     @property
     def signature(self) -> tuple[tuple[str, int], ...]:
         return tuple((op.symbol, op.arity) for op in self.ops)
+
+
+def _table_length_error(size: int, arity: int, length: int) -> Optional[str]:
+    """None when length == size ** arity, else the mismatch as text.
+    Since size ** arity >= 2 ** (arity * (bits(size) - 1)), a length
+    below that bound is a mismatch found without forming the power,
+    which a huge arity could make too large to build or print."""
+    if size > 1 and arity * (size.bit_length() - 1) > length.bit_length():
+        return f"length {length}, expected {size}**{arity}"
+    if length != size ** arity:
+        return f"length {length}, expected {size ** arity}"
+    return None
 
 
 def binary_op(A: OpAlgebra) -> Operation:
@@ -587,20 +599,27 @@ class VarietyKite:
             raise IllTyped("alpha r = beta = gamma s fails")
 
 
-def pullback_subalgebra(vk: VarietyKite) -> tuple[OpAlgebra, tuple]:
-    """The subalgebra of A x C on pairs (a, c) with f(a) = g(c)."""
-    labels = tuple((a, c) for a in range(vk.A.size) for c in range(vk.C.size)
-                   if vk.f[a] == vk.g[c])
-    index = {lab: i for i, lab in enumerate(labels)}
+def _product_subalgebra(A: OpAlgebra, C: OpAlgebra, labels) -> OpAlgebra:
+    """The subalgebra of A x C on the given pairs, which must be closed
+    under the operations, applied coordinatewise."""
+    index = index_of(labels)
     ops = []
-    for op_a, op_c in zip(vk.A.ops, vk.C.ops):
+    for op_a, op_c in zip(A.ops, C.ops):
         table = []
         for args in product(labels, repeat=op_a.arity):
-            pair = (vk.A.apply(op_a, *(p[0] for p in args)),
-                    vk.C.apply(op_c, *(p[1] for p in args)))
+            pair = (A.apply(op_a, *(p[0] for p in args)),
+                    C.apply(op_c, *(p[1] for p in args)))
             table.append(index[pair])
         ops.append(Operation(op_a.symbol, op_a.arity, tuple(table)))
-    return OpAlgebra(len(labels), tuple(ops), "custom"), labels
+    return OpAlgebra(len(labels), tuple(ops), "custom")
+
+
+def pullback_subalgebra(vk: VarietyKite) -> tuple[OpAlgebra, tuple]:
+    """The subalgebra of A x C on pairs (a, c) with f(a) = g(c)."""
+    over = fibres(vk.g)
+    labels = tuple((a, c) for a in range(vk.A.size)
+                   for c in over.get(vk.f[a], ()))
+    return _product_subalgebra(vk.A, vk.C, labels), labels
 
 
 @dataclass(frozen=True)
@@ -615,15 +634,13 @@ def admissibility_count_variety(vk: VarietyKite,
     """Count homomorphisms phi: A x_B C -> D with phi e1 = alpha and
     phi e2 = gamma, by backtracking with closure propagation."""
     E, labels = pullback_subalgebra(vk)
-    index = {lab: i for i, lab in enumerate(labels)}
-    pins: dict[int, int] = {}
-    for a in range(vk.A.size):
-        pins[index[(a, vk.s[vk.f[a]])]] = vk.alpha[a]
-    for c in range(vk.C.size):
-        i = index[(vk.r[vk.g[c]], c)]
-        if i in pins and pins[i] != vk.gamma[c]:
-            return VarietySolveResult(0, (), labels)
-        pins[i] = vk.gamma[c]
+    index = index_of(labels)
+    pins = cross_pins([index[(a, vk.s[vk.f[a]])] for a in range(vk.A.size)],
+                      vk.alpha,
+                      [index[(vk.r[vk.g[c]], c)] for c in range(vk.C.size)],
+                      vk.gamma)
+    if pins is None:
+        return VarietySolveResult(0, (), labels)
 
     tuples_by_op = [(op, tuple(product(range(E.size), repeat=op.arity)))
                     for op in E.ops if op.arity > 0]
@@ -709,22 +726,13 @@ def wm_witness_search(D: OpAlgebra, budget: int = 2000) -> Optional[VarietyKite]
 
 def _relation_algebra(D: OpAlgebra, pairs) -> tuple[OpAlgebra, tuple]:
     labels = tuple(sorted(pairs))
-    index = {lab: i for i, lab in enumerate(labels)}
-    ops = []
-    for op in D.ops:
-        table = []
-        for args in product(labels, repeat=op.arity):
-            pair = (D.apply(op, *(p[0] for p in args)),
-                    D.apply(op, *(p[1] for p in args)))
-            table.append(index[pair])
-        ops.append(Operation(op.symbol, op.arity, tuple(table)))
-    return OpAlgebra(len(labels), tuple(ops), "custom"), labels
+    return _product_subalgebra(D, D, labels), labels
 
 
 def _projection_kite(D, alg_a, labels_a, alg_c, labels_c,
                      fa, gc, aa, gg) -> Optional[VarietyKite]:
-    index_a = {lab: i for i, lab in enumerate(labels_a)}
-    index_c = {lab: i for i, lab in enumerate(labels_c)}
+    index_a = index_of(labels_a)
+    index_c = index_of(labels_c)
     diag_a = tuple(index_a[(x, x)] for x in range(D.size))
     diag_c = tuple(index_c[(x, x)] for x in range(D.size))
     f = tuple(lab[fa] for lab in labels_a)

@@ -83,12 +83,12 @@ def _cmd_validate(args) -> int:
     max_size = args.max_size
     try:
         if kind == "algebra":
-            alg_obj = schemas.load_algebra(obj)
+            alg_obj = schemas.load_algebra(obj, max_size=max_size)
             return _emit(args, holds("validate",
                                      [f"algebra of size {alg_obj.size}, "
                                       f"variety {alg_obj.variety}"]))
         if kind == "variety_kite":
-            schemas.load_variety_kite(obj)
+            schemas.load_variety_kite(obj, max_size)
             return _emit(args, holds("validate", ["variety kite laws hold"]))
         if kind not in schemas.LOADERS:
             raise SchemaError(f"{args.file}: unknown kind {kind!r}")

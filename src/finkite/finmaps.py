@@ -8,23 +8,11 @@ tables, so all values here are immutable and all functions pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import DomainMismatch, IllTyped
-
-
-@dataclass(frozen=True)
-class FinSet:
-    """A finite set with elements 0..size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise IllTyped(f"finite set size must be >= 0, got {self.size}")
-
-    def __iter__(self):
-        return iter(range(self.size))
+from .report import Report, counted
 
 
 @dataclass(frozen=True)
@@ -58,24 +46,12 @@ def identity(n: int) -> FinMap:
     return FinMap(n, n, tuple(range(n)))
 
 
-def constant(dom: int, cod: int, value: int) -> FinMap:
-    return FinMap(dom, cod, (value,) * dom)
-
-
 def compose(g: FinMap, f: FinMap) -> FinMap:
     """g after f.  Requires f.cod == g.dom."""
     if f.cod != g.dom:
         raise DomainMismatch(
             f"cannot compose: middle objects differ ({f.cod} vs {g.dom})")
     return FinMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
-
-
-def compose_all(*maps: FinMap) -> FinMap:
-    """Compose left to right in diagrammatic order: compose_all(f, g) = g after f."""
-    out = maps[0]
-    for m in maps[1:]:
-        out = compose(m, out)
-    return out
 
 
 def is_mono(f: FinMap) -> bool:
@@ -176,21 +152,74 @@ def fibres(keys: Iterable[Hashable]) -> dict[Hashable, list[int]]:
     return out
 
 
-def pinned_fibres(d: FinMap, c: FinMap, targets: Iterable[tuple[int, int]],
-                  pins: dict[int, int]) -> list[Sequence[int]]:
-    """For the i-th target (x, y), the w with d(w) = x and c(w) = y, in
-    ascending order.  A pinned position keeps only its pin, and nothing
-    when the pin lies outside that fibre.  One index of the (d, c)-fibres
-    serves every position, so the cost is O(d.dom + len(targets))."""
+def index_of(labels: Iterable[Hashable]) -> dict[Hashable, int]:
+    """The position of each label: the inverse of a label table."""
+    return {lab: i for i, lab in enumerate(labels)}
+
+
+def first_mismatch(lhs: FinMap, rhs: FinMap) -> Optional[int]:
+    """The least x with lhs(x) != rhs(x), or None when the tables agree.
+    Equal tables, the common case, are settled by one tuple comparison."""
+    if lhs.table == rhs.table:
+        return None
+    return next(x for x, (u, v) in enumerate(zip(lhs.table, rhs.table))
+                if u != v)
+
+
+def cross_pins(e1: Sequence[int], alpha: Sequence[int], e2: Sequence[int],
+               gamma: Sequence[int]) -> Optional[dict[int, int]]:
+    """The values that m e1 = alpha and m e2 = gamma pin on the cross
+    e1(A) u e2(C), as point -> value, or None when they disagree."""
+    pins = dict(zip(e1, alpha))
+    for w, v in zip(e2, gamma):
+        if pins.setdefault(w, v) != v:
+            return None
+    return pins
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    count: int
+    solutions: tuple[FinMap, ...]
+    truncated: bool
+    report: Report
+
+
+def solve_cross(e1: FinMap, alpha: FinMap, e2: FinMap, gamma: FinMap,
+                d: FinMap, c: FinMap, d_target: FinMap, c_target: FinMap,
+                cap: float, command: str) -> SolveResult:
+    """Every m: E -> D with m e1 = alpha, m e2 = gamma, d m = d_target
+    and c m = c_target, in lexicographic order, with the exact count.
+
+    The pins on the cross e1(A) u e2(C) are merged first; every other
+    point ranges over its (d, c)-fibre, read from one index of those
+    fibres, so the count is the product of the fibre sizes and the cost
+    O(E + D) before enumeration.  All solutions are listed when there
+    are at most cap of them (math.inf lists every one), otherwise only
+    the two least; the report carries at most the two least."""
+    pins = cross_pins(e1.table, alpha.table, e2.table, gamma.table)
+    if pins is None:
+        return SolveResult(0, (), False, counted(command, 0))
     over = fibres(zip(d.table, c.table))
     allowed: list[Sequence[int]] = []
-    for i, key in enumerate(targets):
-        w = pins.get(i)
-        if w is None:
+    for x, key in enumerate(zip(d_target.table, c_target.table)):
+        v = pins.get(x)
+        if v is None:
             allowed.append(over.get(key, ()))
         else:
-            allowed.append((w,) if (d.table[w], c.table[w]) == key else ())
-    return allowed
+            allowed.append((v,) if (d.table[v], c.table[v]) == key else ())
+    count = 1
+    for fibre in allowed:
+        count *= len(fibre)
+    if count == 0:
+        return SolveResult(0, (), False, counted(command, 0))
+    truncated = count > cap
+    tables = islice(product(*allowed), 2) if truncated else product(*allowed)
+    sols = tuple(FinMap(d_target.dom, d.dom, tab) for tab in tables)
+    report = counted(command, count, [list(s.table) for s in sols[:2]],
+                     details=(["solution list truncated to the two "
+                               "lexicographically least"] if truncated else ()))
+    return SolveResult(count, sols, truncated, report)
 
 
 def maps(dom: int, cod: int) -> Iterable[FinMap]:
@@ -200,6 +229,5 @@ def maps(dom: int, cod: int) -> Iterable[FinMap]:
         return
     if cod == 0:
         return
-    from itertools import product
     for table in product(range(cod), repeat=dom):
         yield FinMap(dom, cod, table)

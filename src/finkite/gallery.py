@@ -6,7 +6,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from .algebra import OpAlgebra, Operation
-from .finmaps import FinMap
+from .finmaps import FinMap, index_of
 from .internal import (MultiplicativeGraph, ReflexiveGraph, Span,
                        kite_from_span)
 from .kitecond import KiteDiagram, assemble_kite
@@ -191,14 +191,12 @@ def group_kite_bundle(n: int):
     from .kitecond import maltsev_mu
 
     span = group_pair_span(n)
-    kd, lp = assemble_kite(kite_from_span(span))
+    kd, _ = assemble_kite(kite_from_span(span))
     p_d = group_pair_maltsev(n)
     mu = maltsev_mu(kpc_swapped(span), p_d)
-    ktr = kpc(span)
-    labels = [(ktr.pairs_first[ai], ktr.pairs_second[ci])
-              for (ai, ci) in lp.element_labels]
-    triples = [(x, y, z) for ((x, y), (_, z)) in labels]
-    t_index = {t: i for i, t in enumerate(triples)}
+    # The points of the kite's E are the kpc triples, in order.
+    triples = kpc(span).triples
+    t_index = index_of(triples)
 
     def p_e(i: int, j: int, k: int) -> int:
         image = tuple(p_d(triples[i][t], triples[j][t], triples[k][t])
@@ -217,7 +215,3 @@ def terminal_span_kite(n: int) -> KiteDiagram:
     kd, _ = assemble_kite(kite_from_span(Span(bang, bang)))
     return kd
 
-
-def wm_witness_solutions(n: int) -> int:
-    """Free points of the set-theoretic witness kite over an n-set."""
-    return (n - 1) ** 2

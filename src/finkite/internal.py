@@ -7,10 +7,13 @@ verdicts, never exceptions; only malformed shapes raise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import DomainMismatch, IllTyped, NonCommutingSquare
-from .finmaps import FinMap, compose, fibres, identity, pinned_fibres
+from .finmaps import (FinMap, compose, fibres, first_mismatch, identity,
+                      index_of, solve_cross)
 from .limits import SplitCospan, kernel_pair, local_product, pullback
 from .report import Report, fails, holds
 
@@ -64,21 +67,23 @@ class ReflexiveGraph:
         return Span(self.d, self.c)
 
 
+def _first_violation(checks, labels=None, key="equation") -> Optional[Report]:
+    """The failing "validate" report of the first (name, lhs, rhs) whose
+    sides differ, at the least element where they do (read through
+    labels when given), or None when every equation holds."""
+    for name, lhs, rhs in checks:
+        w = first_mismatch(lhs, rhs)
+        if w is not None:
+            return fails("validate", {key: name, "element":
+                                      w if labels is None else list(labels[w])})
+    return None
+
+
 def validate_reflexive_graph(rg: ReflexiveGraph) -> Report:
-    de = compose(rg.d, rg.e)
-    for y in range(rg.C0):
-        if de.table[y] != y:
-            return fails("validate", {"equation": "d e = 1", "element": y})
-    ce = compose(rg.c, rg.e)
-    for y in range(rg.C0):
-        if ce.table[y] != y:
-            return fails("validate", {"equation": "c e = 1", "element": y})
-    return holds("validate", ["d e = 1 and c e = 1"])
-
-
-def validate_span(span: Span) -> Report:
-    # No equations beyond typing; kernel pairs always exist in finite sets.
-    return holds("validate", ["span is well typed; kernel pairs exist"])
+    one = identity(rg.C0)
+    return _first_violation((("d e = 1", compose(rg.d, rg.e), one),
+                             ("c e = 1", compose(rg.c, rg.e), one))) or \
+        holds("validate", ["d e = 1 and c e = 1"])
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ def composable_pairs(rg: ReflexiveGraph) -> C2Data:
     injections only exist when d e = 1 = c e, so a non-reflexive graph
     is rejected here."""
     pb = pullback(rg.c, rg.d)
-    index = {lab: i for i, lab in enumerate(pb.labels)}
+    index = index_of(pb.labels)
     n = pb.size
     ed = compose(rg.e, rg.d)
     ec = compose(rg.e, rg.c)
@@ -134,34 +139,21 @@ def validate_multiplicative_graph(mg: MultiplicativeGraph) -> Report:
     rep = validate_reflexive_graph(mg.rg)
     if not rep.ok:
         return rep
-    dm = compose(mg.rg.d, mg.m)
-    dpi2 = compose(mg.rg.d, mg.c2.pi2)
-    for i in range(mg.c2.size):
-        if dm.table[i] != dpi2.table[i]:
-            return fails("validate", {"equation": "d m = d pi2",
-                                      "element": list(mg.c2.labels[i])})
-    cm = compose(mg.rg.c, mg.m)
-    cpi1 = compose(mg.rg.c, mg.c2.pi1)
-    for i in range(mg.c2.size):
-        if cm.table[i] != cpi1.table[i]:
-            return fails("validate", {"equation": "c m = c pi1",
-                                      "element": list(mg.c2.labels[i])})
-    return holds("validate", ["multiplicative graph equations hold"])
+    d, c, c2 = mg.rg.d, mg.rg.c, mg.c2
+    return _first_violation(
+        (("d m = d pi2", compose(d, mg.m), compose(d, c2.pi2)),
+         ("c m = c pi1", compose(c, mg.m), compose(c, c2.pi1))),
+        c2.labels) or holds("validate", ["multiplicative graph equations hold"])
 
 
 def validate_unital_multiplicative_graph(mg: MultiplicativeGraph) -> Report:
     rep = validate_multiplicative_graph(mg)
     if not rep.ok:
         return rep
-    me1 = compose(mg.m, mg.c2.e1)
-    for x in range(mg.rg.C1):
-        if me1.table[x] != x:
-            return fails("validate", {"equation": "m e1 = 1", "element": x})
-    me2 = compose(mg.m, mg.c2.e2)
-    for x in range(mg.rg.C1):
-        if me2.table[x] != x:
-            return fails("validate", {"equation": "m e2 = 1", "element": x})
-    return holds("validate", ["unital multiplicative graph equations hold"])
+    one = identity(mg.rg.C1)
+    return _first_violation((("m e1 = 1", compose(mg.m, mg.c2.e1), one),
+                             ("m e2 = 1", compose(mg.m, mg.c2.e2), one))) or \
+        holds("validate", ["unital multiplicative graph equations hold"])
 
 
 def validate_category(mg: MultiplicativeGraph) -> Report:
@@ -169,7 +161,7 @@ def validate_category(mg: MultiplicativeGraph) -> Report:
     if not rep.ok:
         return rep
     labels = mg.c2.labels
-    index = {lab: i for i, lab in enumerate(labels)}
+    index = index_of(labels)
     m = mg.m.table
     # Composable triples (x, y, z): the pairs (x, y) and (y, z) joined on y.
     starting_at = fibres(mg.c2.pi1.table)
@@ -192,7 +184,7 @@ def validate_groupoid(mg: MultiplicativeGraph) -> Report:
     if not rep.ok:
         return rep
     kp = kernel_pair(mg.rg.d)
-    kp_index = {lab: i for i, lab in enumerate(kp.pairs)}
+    kp_index = index_of(kp.pairs)
     seen: dict[int, tuple[int, int]] = {}
     for i, (x, y) in enumerate(mg.c2.labels):
         key = kp_index[(mg.m.table[i], y)]
@@ -247,7 +239,7 @@ def _kpc_generic(span: Span, first: FinMap, second: FinMap, swapped: bool) -> Kp
     kf, ks = pullback(first, first), pullback(second, second)
     pb = pullback(ks.p1, kf.p2)
     triples = tuple([kf.labels[i] + (ks.labels[j][1],) for i, j in pb.labels])
-    t_index = {t: i for i, t in enumerate(triples)}
+    t_index = index_of(triples)
     n = len(triples)
     e1 = FinMap(kf.size, n, tuple(t_index[(x, y, y)] for x, y in kf.labels))
     e2 = FinMap(ks.size, n, tuple(t_index[(y, y, z)] for y, z in ks.labels))
@@ -312,7 +304,7 @@ def pregroupoid_associative(pg: Pregroupoid) -> Report:
     if not rep.ok:
         return rep
     span, k, p = pg.span, pg.k, pg.p.table
-    t_index = {t: i for i, t in enumerate(k.triples)}
+    t_index = index_of(k.triples)
     D = span.D
     d, c = span.d.table, span.c.table
     for (x, y, z) in k.triples:
@@ -377,11 +369,8 @@ def validate_directed_kite(dk: DirectedKite) -> Report:
         ("c beta g = c gamma", compose(dk.c, compose(dk.beta, dk.g)),
          compose(dk.c, dk.gamma)),
     )
-    for name, lhs, rhs in checks:
-        if lhs.table != rhs.table:
-            w = next(i for i in range(lhs.dom) if lhs.table[i] != rhs.table[i])
-            return fails("validate", {"equation": name, "element": w})
-    return holds("validate", ["directed kite equations hold"])
+    return _first_violation(checks) or \
+        holds("validate", ["directed kite equations hold"])
 
 
 def kite_from_rg(rg: ReflexiveGraph) -> DirectedKite:
@@ -433,11 +422,8 @@ def validate_rg_morphism(h: RGMorphism) -> Report:
         ("c' f1 = f0 c", compose(h.dst.c, h.f1), compose(h.f0, h.src.c)),
         ("f1 e = e' f0", compose(h.f1, h.src.e), compose(h.dst.e, h.f0)),
     )
-    for name, lhs, rhs in checks:
-        if lhs.table != rhs.table:
-            w = next(i for i in range(lhs.dom) if lhs.table[i] != rhs.table[i])
-            return fails("validate", {"equation": name, "element": w})
-    return holds("validate", ["reflexive graph morphism squares commute"])
+    return _first_violation(checks) or \
+        holds("validate", ["reflexive graph morphism squares commute"])
 
 
 def kite_from_rg_morphism(h: RGMorphism) -> DirectedKite:
@@ -489,11 +475,8 @@ def validate_kite_morphism(h: DirectedKiteMorphism) -> Report:
         ("d' hD = h0 d", compose(k2.d, h.hD), compose(h.h0, k.d)),
         ("c' hD = h1 c", compose(k2.c, h.hD), compose(h.h1, k.c)),
     )
-    for name, lhs, rhs in squares:
-        if lhs.table != rhs.table:
-            w = next(i for i in range(lhs.dom) if lhs.table[i] != rhs.table[i])
-            return fails("validate", {"square": name, "element": w})
-    return holds("validate", ["all nine named squares commute"])
+    return _first_violation(squares, key="square") or \
+        holds("validate", ["all nine named squares commute"])
 
 
 def induced_kite(h: DirectedKiteMorphism) -> DirectedKite:
@@ -520,14 +503,12 @@ def compat_check(h: DirectedKiteMorphism, m: FinMap, m2: FinMap) -> Report:
         raise DomainMismatch("m must go A x_B C -> D")
     if m2.dom != lp2.E or m2.cod != h.dst.alpha.cod:
         raise DomainMismatch("m' must go A' x_B' C' -> D'")
-    index2 = {lab: i for i, lab in enumerate(lp2.element_labels)}
+    index2 = index_of(lp2.element_labels)
     induced = FinMap(lp.E, lp2.E,
                      tuple(index2[(h.hA.table[a], h.hC.table[c])]
                            for (a, c) in lp.element_labels))
-    lhs = compose(h.hD, m)
-    rhs = compose(m2, induced)
-    if lhs.table != rhs.table:
-        w = next(i for i in range(lp.E) if lhs.table[i] != rhs.table[i])
+    w = first_mismatch(compose(h.hD, m), compose(m2, induced))
+    if w is not None:
         return fails("compat", {"element": list(lp.element_labels[w])})
     return holds("compat", ["hD m = m' (hA x_hB hC)"])
 
@@ -536,15 +517,7 @@ def umg_multiplications(rg: ReflexiveGraph) -> list[FinMap]:
     """All unital multiplicative structures on a reflexive graph, in
     lexicographic table order (brute force; small graphs only)."""
     c2 = composable_pairs(rg)
-    pins: dict[int, int] = {}
-    for x in range(rg.C1):
-        pins[c2.e1.table[x]] = x
-    for x in range(rg.C1):
-        i = c2.e2.table[x]
-        if pins.get(i, x) != x:
-            return []
-        pins[i] = x
-    allowed = pinned_fibres(rg.d, rg.c, ((rg.d.table[y], rg.c.table[x])
-                                         for x, y in c2.labels), pins)
-    from itertools import product
-    return [FinMap(c2.size, rg.C1, tab) for tab in product(*allowed)]
+    one = identity(rg.C1)
+    return list(solve_cross(c2.e1, one, c2.e2, one, rg.d, rg.c,
+                            compose(rg.d, c2.pi2), compose(rg.c, c2.pi1),
+                            math.inf, "umg").solutions)

@@ -9,16 +9,16 @@ solution count is the product of the remaining fibre sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import DomainMismatch, HypothesisViolation, IllTyped
-from .finmaps import (FinMap, compose, identity, jointly_monic,
-                      pairing_is_injective, pinned_fibres)
+from .finmaps import (FinMap, SolveResult, compose, first_mismatch, identity,
+                      index_of, jointly_monic, pairing_is_injective,
+                      solve_cross)
 from .internal import (C2Data, DirectedKite, KpcResult, Span, composable_pairs,
-                       kpc, kpc_swapped, validate_directed_kite)
-from .limits import LocalProduct, SplitCospan, local_product
-from .report import Report, counted, fails, holds
+                       kite_from_span, kpc, kpc_swapped, validate_directed_kite)
+from .limits import LocalProduct, SplitCospan, _failed_condition, local_product
+from .report import Report, fails, holds
 
 
 @dataclass(frozen=True)
@@ -87,78 +87,31 @@ def check_hypotheses(k: KiteDiagram) -> Report:
     """Conditions (1)-(5) elementwise; the kernel pair construction
     always exists in finite sets, so (6) is reported as automatic."""
     cmd = "kite-check"
-    if compose(k.p1, k.e1).table != identity(k.A).table:
-        a = next(x for x in range(k.A) if k.p1.table[k.e1.table[x]] != x)
-        return fails(cmd, {"condition": 1, "element": a}, ["p1 e1 != 1_A"])
-    if compose(k.p2, k.e2).table != identity(k.C).table:
-        x = next(y for y in range(k.C) if k.p2.table[k.e2.table[y]] != y)
-        return fails(cmd, {"condition": 1, "element": x}, ["p2 e2 != 1_C"])
     e1p1 = compose(k.e1, k.p1)
     e2p2 = compose(k.e2, k.p2)
-    if compose(e1p1, e2p2).table != compose(e2p2, e1p1).table:
-        lhs, rhs = compose(e1p1, e2p2), compose(e2p2, e1p1)
-        w = next(i for i in range(k.E) if lhs.table[i] != rhs.table[i])
-        return fails(cmd, {"condition": 2, "element": w},
-                     ["(e1p1)(e2p2) != (e2p2)(e1p1)"])
+    rep = _failed_condition(cmd, (
+        (1, "p1 e1 != 1_A", compose(k.p1, k.e1), identity(k.A)),
+        (1, "p2 e2 != 1_C", compose(k.p2, k.e2), identity(k.C)),
+        (2, "(e1p1)(e2p2) != (e2p2)(e1p1)", compose(e1p1, e2p2),
+         compose(e2p2, e1p1))))
+    if rep is not None:
+        return rep
     clash = pairing_is_injective(k.p1, k.p2)
     if clash is not None:
         return fails(cmd, {"condition": 3, "elements": list(clash)},
                      ["(p1, p2) is not jointly monic"])
     a_leg = compose(k.alpha, compose(k.p1, e2p2))
-    if a_leg.table != k.beta.table:
-        w = next(i for i in range(k.E) if a_leg.table[i] != k.beta.table[i])
-        return fails(cmd, {"condition": 4, "element": w},
-                     ["alpha p1 e2 p2 != beta"])
     g_leg = compose(k.gamma, compose(k.p2, e1p1))
-    if g_leg.table != k.beta.table:
-        w = next(i for i in range(k.E) if g_leg.table[i] != k.beta.table[i])
-        return fails(cmd, {"condition": 4, "element": w},
-                     ["gamma p2 e1 p1 != beta"])
-    dal = compose(k.d, compose(k.alpha, k.p1))
-    dal2 = compose(k.d, a_leg)
-    if dal.table != dal2.table:
-        w = next(i for i in range(k.E) if dal.table[i] != dal2.table[i])
-        return fails(cmd, {"condition": 5, "element": w},
-                     ["d alpha p1 != d alpha p1 e2 p2"])
-    cga = compose(k.c, compose(k.gamma, k.p2))
-    cga2 = compose(k.c, g_leg)
-    if cga.table != cga2.table:
-        w = next(i for i in range(k.E) if cga.table[i] != cga2.table[i])
-        return fails(cmd, {"condition": 5, "element": w},
-                     ["c gamma p2 != c gamma p2 e1 p1"])
-    return holds(cmd, ["conditions 1-5 hold",
-                       "condition 6 (kernel pair construction) is automatic "
-                       "over finite sets"])
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    count: int
-    solutions: tuple[FinMap, ...]
-    truncated: bool
-    report: Report
-
-
-def _count_and_enumerate(E: int, D: int, allowed: list[Sequence[int]],
-                         cap: int, command: str) -> SolveResult:
-    """Exact count plus solutions in lexicographic order.  The full set
-    is enumerated up to the cap; the embedded report always carries at
-    most the two lexicographically-least solutions."""
-    count = 1
-    for fibre in allowed:
-        count *= len(fibre)
-    if count == 0:
-        return SolveResult(0, (), False, counted(command, 0))
-    if count <= cap:
-        sols = tuple(FinMap(E, D, tab) for tab in product(*allowed))
-        truncated = False
-    else:
-        sols = tuple(FinMap(E, D, tab) for tab in islice(product(*allowed), 2))
-        truncated = True
-    report = counted(command, count, [list(s.table) for s in sols[:2]],
-                     details=(["solution list truncated to the two "
-                               "lexicographically least"] if truncated else ()))
-    return SolveResult(count, sols, truncated, report)
+    return _failed_condition(cmd, (
+        (4, "alpha p1 e2 p2 != beta", a_leg, k.beta),
+        (4, "gamma p2 e1 p1 != beta", g_leg, k.beta),
+        (5, "d alpha p1 != d alpha p1 e2 p2",
+         compose(k.d, compose(k.alpha, k.p1)), compose(k.d, a_leg)),
+        (5, "c gamma p2 != c gamma p2 e1 p1",
+         compose(k.c, compose(k.gamma, k.p2)), compose(k.c, g_leg)))) or \
+        holds(cmd, ["conditions 1-5 hold",
+                    "condition 6 (kernel pair construction) is automatic "
+                    "over finite sets"])
 
 
 def solve_m(k: KiteDiagram, cap: int = 1000) -> SolveResult:
@@ -167,18 +120,9 @@ def solve_m(k: KiteDiagram, cap: int = 1000) -> SolveResult:
     rep = check_hypotheses(k)
     if not rep.ok:
         raise HypothesisViolation(f"kite hypotheses fail: {rep.witness}")
-    pins: dict[int, int] = {}
-    for a in range(k.A):
-        pins[k.e1.table[a]] = k.alpha.table[a]
-    for x in range(k.C):
-        i = k.e2.table[x]
-        if i in pins and pins[i] != k.gamma.table[x]:
-            return SolveResult(0, (), False, counted("kite-solve", 0))
-        pins[i] = k.gamma.table[x]
-    d_target = compose(k.d, compose(k.gamma, k.p2))
-    c_target = compose(k.c, compose(k.alpha, k.p1))
-    allowed = pinned_fibres(k.d, k.c, zip(d_target.table, c_target.table), pins)
-    return _count_and_enumerate(k.E, k.D, allowed, cap, "kite-solve")
+    return solve_cross(k.e1, k.alpha, k.e2, k.gamma, k.d, k.c,
+                       compose(k.d, compose(k.gamma, k.p2)),
+                       compose(k.c, compose(k.alpha, k.p1)), cap, "kite-solve")
 
 
 def maltsev_mu(k: KpcResult, p: Callable[[int, int, int], int]) -> FinMap:
@@ -188,7 +132,7 @@ def maltsev_mu(k: KpcResult, p: Callable[[int, int, int], int]) -> FinMap:
     and be compatible with the span legs, otherwise the produced table
     leaves the triple object and the construction is rejected."""
     c2 = composable_pairs(k.graph)
-    t_index = {t: i for i, t in enumerate(k.triples)}
+    t_index = index_of(k.triples)
     table = []
     for (ui, vi) in c2.labels:
         U, V = k.triples[ui], k.triples[vi]
@@ -245,8 +189,8 @@ def theta(k: KiteDiagram, mu: FinMap) -> ThetaResult:
         raise DomainMismatch("mu must be a multiplication on the swapped "
                              "kernel pair construction of (D, d, c)")
     _validate_multiplication(kswap, c2, mu)
-    t_index = {t: i for i, t in enumerate(kswap.triples)}
-    pair_index = {lab: i for i, lab in enumerate(c2.labels)}
+    t_index = index_of(kswap.triples)
+    pair_index = index_of(c2.labels)
     ap1 = compose(k.alpha, k.p1)
     gp2 = compose(k.gamma, k.p2)
     table = []
@@ -281,8 +225,8 @@ def delta(k: KiteDiagram) -> DeltaResult:
         raise HypothesisViolation(f"kite hypotheses fail: {rep.witness}")
     egraph = kpc_swapped(Span(k.p2, k.p1))
     c2 = composable_pairs(egraph.graph)
-    t_index = {t: i for i, t in enumerate(egraph.triples)}
-    pair_index = {lab: i for i, lab in enumerate(c2.labels)}
+    t_index = index_of(egraph.triples)
+    pair_index = index_of(c2.labels)
     e1p1 = compose(k.e1, k.p1)
     e2p2 = compose(k.e2, k.p2)
     mixed = compose(e1p1, e2p2)
@@ -305,20 +249,16 @@ def delta_identity_check(k: KiteDiagram, mu_e: FinMap) -> Report:
     dres = delta(k)
     _validate_multiplication(dres.egraph, dres.c2, mu_e)
     comp = compose(dres.egraph.mid, compose(mu_e, dres.delta))
-    lhs1 = compose(k.p1, comp)
-    if lhs1.table != k.p1.table:
-        w = next(i for i in range(k.E) if lhs1.table[i] != k.p1.table[i])
-        return fails("delta-check", {"equation": "p1 mid mu delta != p1",
-                                     "element": w})
-    lhs2 = compose(k.p2, comp)
-    if lhs2.table != k.p2.table:
-        w = next(i for i in range(k.E) if lhs2.table[i] != k.p2.table[i])
-        return fails("delta-check", {"equation": "p2 mid mu delta != p2",
-                                     "element": w})
+    for name, lhs, rhs in (
+            ("p1 mid mu delta != p1", compose(k.p1, comp), k.p1),
+            ("p2 mid mu delta != p2", compose(k.p2, comp), k.p2)):
+        w = first_mismatch(lhs, rhs)
+        if w is not None:
+            return fails("delta-check", {"equation": name, "element": w})
     if not jointly_monic(k.p1, k.p2):
         return fails("delta-check", {"equation": "(p1, p2) not jointly monic"})
-    if comp.table != identity(k.E).table:
-        w = next(i for i in range(k.E) if comp.table[i] != i)
+    w = first_mismatch(comp, identity(k.E))
+    if w is not None:
         return fails("delta-check", {"equation": "mid mu delta != 1_E",
                                      "element": w})
     return holds("delta-check",
@@ -363,19 +303,13 @@ class AdmissibilityKite:
 
 
 def admissibility_count(k: AdmissibilityKite, cap: int = 1000) -> SolveResult:
-    """Count phi: A x_B C -> D with phi e1 = alpha and phi e2 = gamma."""
+    """Count phi: A x_B C -> D with phi e1 = alpha and phi e2 = gamma:
+    the kite equations over the terminal span D -> 1, whose one fibre
+    leaves every off-cross point free."""
     lp = local_product(SplitCospan(k.f, k.r, k.g, k.s))
-    pins: dict[int, int] = {}
-    for a in range(k.f.dom):
-        pins[lp.e1.table[a]] = k.alpha.table[a]
-    for x in range(k.g.dom):
-        i = lp.e2.table[x]
-        if i in pins and pins[i] != k.gamma.table[x]:
-            return SolveResult(0, (), False, counted("admissibility", 0))
-        pins[i] = k.gamma.table[x]
-    allowed = [(pins[i],) if i in pins else tuple(range(k.D))
-               for i in range(lp.E)]
-    return _count_and_enumerate(lp.E, k.D, allowed, cap, "admissibility")
+    bang_d, bang_e = FinMap(k.D, 1, (0,) * k.D), FinMap(lp.E, 1, (0,) * lp.E)
+    return solve_cross(lp.e1, k.alpha, lp.e2, k.gamma, bang_d, bang_d,
+                       bang_e, bang_e, cap, "admissibility")
 
 
 @dataclass(frozen=True)
@@ -423,46 +357,29 @@ def _is_admissibility_solution(k: AdmissibilityKite, phi: FinMap) -> bool:
 
 def pregroupoid_solutions(span: Span, cap: int = 1000) -> SolveResult:
     """All pregroupoid structures on a span, by direct enumeration of
-    p: D(d,c) -> D under the unit and domain/codomain laws."""
+    p: D(d,c) -> D under the unit laws p(x,y,y) = x, p(y,y,z) = z and the
+    laws d p(x,y,z) = d(z), c p(x,y,z) = c(x)."""
     k = kpc(span)
-    pins: dict[int, int] = {}
-    for i, (x, y, z) in enumerate(k.triples):
-        if y == z:
-            pins[i] = x
-        if x == y:
-            if i in pins and pins[i] != z:
-                return SolveResult(0, (), False, counted("pregroupoid", 0))
-            pins[i] = z
-    allowed = pinned_fibres(span.d, span.c, ((span.d.table[z], span.c.table[x])
-                                             for x, _, z in k.triples), pins)
-    return _count_and_enumerate(k.size, span.D, allowed, cap, "pregroupoid")
+    return solve_cross(k.e1, k.d1, k.e2, k.c2, span.d, span.c,
+                       compose(span.d, k.cod), compose(span.c, k.dom), cap,
+                       "pregroupoid")
 
 
 def kite5_pairing(span: Span, cap: int = 1000) -> Report:
     """The paired solver for the kernel-pair kite: multiplications on
     the assembled kite correspond one-to-one with pregroupoid structures
-    on the span, through the evident relabelling of the local product
-    as the triple object."""
-    from .internal import kite_from_span
-    kd, lp = assemble_kite(kite_from_span(span))
+    on the span.  The kite's local product is pullback(c1, d2), the same
+    pullback that lists the kpc triples, so point xi of E is triple xi
+    and the two solution lists agree table for table."""
+    kd, _ = assemble_kite(kite_from_span(span))
     kite_res = solve_m(kd, cap=cap)
     pre_res = pregroupoid_solutions(span, cap=cap)
     if kite_res.count != pre_res.count:
         return fails("kite5-pairing", {"kite": kite_res.count,
                                        "pregroupoid": pre_res.count})
-    if not kite_res.truncated and not pre_res.truncated:
-        k = kpc(span)
-        t_index = {t: i for i, t in enumerate(k.triples)}
-        # inverse[t] is the point of E that the relabelling sends to triple t.
-        inverse = [0] * k.size
-        for ksi, (ai, ci) in enumerate(lp.element_labels):
-            (x, y), z = k.pairs_first[ai], k.pairs_second[ci][1]
-            inverse[t_index[(x, y, z)]] = ksi
-        kite_tables = sorted(tuple(sol.table[ksi] for ksi in inverse)
-                             for sol in kite_res.solutions)
-        pre_tables = sorted(sol.table for sol in pre_res.solutions)
-        if kite_tables != pre_tables:
-            return fails("kite5-pairing", {"mismatch": "solution sets differ"})
+    if (not kite_res.truncated and not pre_res.truncated
+            and kite_res.solutions != pre_res.solutions):
+        return fails("kite5-pairing", {"mismatch": "solution sets differ"})
     return holds("kite5-pairing",
                  [f"{kite_res.count} multiplications correspond to "
                   f"{pre_res.count} pregroupoid structures"])

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CompatibilityViolation, DomainMismatch, InvalidSplitting
-from .finmaps import (FinMap, compose, fibres, identity, jointly_monic,
-                      pairing_is_injective, pinned_fibres)
-from .report import Report, counted, fails, holds
+from .finmaps import (FinMap, SolveResult, compose, fibres, first_mismatch,
+                      identity, index_of, jointly_monic, pairing_is_injective,
+                      solve_cross)
+from .report import Report, fails, holds
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class LocalProduct:
 
 def local_product(sc: SplitCospan) -> LocalProduct:
     pb = pullback(sc.g, sc.f)
-    index = {lab: i for i, lab in enumerate(pb.labels)}
+    index = index_of(pb.labels)
     sf = compose(sc.s, sc.f)
     rg = compose(sc.r, sc.g)
     e1 = FinMap(sc.A, pb.size, tuple(index[(a, sf.table[a])] for a in range(sc.A)))
@@ -132,6 +133,16 @@ class IntrinsicCheck:
     relabel: Optional[FinMap]
 
 
+def _failed_condition(cmd: str, checks) -> Optional[Report]:
+    """The failing report of the first (condition, name, lhs, rhs) whose
+    sides differ, at the least element where they do, or None."""
+    for condition, name, lhs, rhs in checks:
+        x = first_mismatch(lhs, rhs)
+        if x is not None:
+            return fails(cmd, {"condition": condition, "element": x}, [name])
+    return None
+
+
 def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
                                   e1: FinMap, e2: FinMap) -> IntrinsicCheck:
     """Decide whether (p1, p2, e1, e2) is a local product, intrinsically.
@@ -145,27 +156,16 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
     E, A, C = p1.dom, p1.cod, p2.cod
     if p2.dom != E or e1.dom != A or e1.cod != E or e2.dom != C or e2.cod != E:
         raise DomainMismatch("diagram maps are not type-compatible")
-    details = []
-
-    if compose(p1, e1).table != identity(A).table:
-        a = next(x for x in range(A) if p1.table[e1.table[x]] != x)
-        return IntrinsicCheck(fails(cmd, {"condition": 1, "element": a},
-                                    ["p1 e1 != 1_A"]), None, None, None)
-    if compose(p2, e2).table != identity(C).table:
-        c = next(x for x in range(C) if p2.table[e2.table[x]] != x)
-        return IntrinsicCheck(fails(cmd, {"condition": 1, "element": c},
-                                    ["p2 e2 != 1_C"]), None, None, None)
-    details.append("condition 1 holds: p1 e1 = 1_A, p2 e2 = 1_C")
-
     e1p1 = compose(e1, p1)
     e2p2 = compose(e2, p2)
-    left = compose(e1p1, e2p2)
-    right = compose(e2p2, e1p1)
-    if left.table != right.table:
-        x = next(i for i in range(E) if left.table[i] != right.table[i])
-        return IntrinsicCheck(fails(cmd, {"condition": 2, "element": x},
-                                    ["e1p1 e2p2 != e2p2 e1p1"]), None, None, None)
-    details.append("condition 2 holds: the idempotents e1p1 and e2p2 commute")
+    rep = _failed_condition(cmd, (
+        (1, "p1 e1 != 1_A", compose(p1, e1), identity(A)),
+        (1, "p2 e2 != 1_C", compose(p2, e2), identity(C)),
+        (2, "e1p1 e2p2 != e2p2 e1p1", compose(e1p1, e2p2), compose(e2p2, e1p1))))
+    if rep is not None:
+        return IntrinsicCheck(rep, None, None, None)
+    details = ["condition 1 holds: p1 e1 = 1_A, p2 e2 = 1_C",
+               "condition 2 holds: the idempotents e1p1 and e2p2 commute"]
 
     clash = pairing_is_injective(p1, p2)
     if clash is not None:
@@ -193,7 +193,7 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
     # Reconstruction per the sufficiency argument: B is the pullback of the
     # split mono e1 along the split mono e2, f and g the displayed pairings.
     pb = pullback(e2, e1)
-    b_index = {lab: i for i, lab in enumerate(pb.labels)}
+    b_index = index_of(pb.labels)
     nB, r, s = pb.size, pb.p1, pb.p2
     f = FinMap(A, nB, tuple(b_index[(p1e2p2e1.table[a], p2e1.table[a])]
                             for a in range(A)))
@@ -204,7 +204,7 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
 
     # Certify that the rebuilt local product is the input up to the
     # canonical relabelling x -> (p1 x, p2 x).
-    lp_index = {lab: i for i, lab in enumerate(lp.element_labels)}
+    lp_index = index_of(lp.element_labels)
     relabel_table = []
     for x in range(E):
         lab = (p1.table[x], p2.table[x])
@@ -267,7 +267,7 @@ def pushout_split_mono(r: FinMap, s: FinMap,
     for b in range(r.dom):
         union(r.table[b], nA + s.table[b])
     roots = sorted({find(x) for x in range(nA + nC)})
-    root_index = {root: i for i, root in enumerate(roots)}
+    root_index = index_of(roots)
     q1 = FinMap(nA, len(roots), tuple(root_index[find(a)] for a in range(nA)))
     q2 = FinMap(nC, len(roots), tuple(root_index[find(nA + c)] for c in range(nC)))
     labels = tuple(("A", root) if root < nA else ("C", root - nA) for root in roots)
@@ -304,18 +304,12 @@ def local_coproduct_compare(lp: LocalProduct) -> Report:
                  ["comparison is not a bijection"])
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
-    count: int
-    solutions: tuple[FinMap, ...]
-    report: Report
-
-
 def extremal_instance_check(lp: LocalProduct, d: FinMap, c: FinMap,
                             alpha: FinMap, gamma: FinMap,
-                            span_class: str = "M1") -> ExtremalResult:
+                            span_class: str = "M1") -> SolveResult:
     """Count maps m: E -> D with dm = d gamma p2, cm = c alpha p1,
-    m e1 = alpha and m e2 = gamma, for a span (D, d, c).
+    m e1 = alpha and m e2 = gamma, for a span (D, d, c), listing the two
+    least.
 
     span_class "M1" demands (d, c) jointly monic; "M0" skips the check.
     In finite sets "M2" coincides with "M1" (every mono is strong).
@@ -331,46 +325,16 @@ def extremal_instance_check(lp: LocalProduct, d: FinMap, c: FinMap,
     elif span_class not in ("M0", "M1", "M2"):
         raise CompatibilityViolation(f"unknown span class {span_class!r}")
 
-    # Compatibility: d alpha = d gamma p2 e1 and c gamma = c alpha p1 e2.
-    lhs1 = compose(d, alpha)
-    rhs1 = compose(d, compose(gamma, compose(lp.p2, lp.e1)))
-    if lhs1.table != rhs1.table:
-        a = next(i for i in range(alpha.dom) if lhs1.table[i] != rhs1.table[i])
-        raise CompatibilityViolation(f"d alpha != d gamma p2 e1 at element {a}")
-    lhs2 = compose(c, gamma)
-    rhs2 = compose(c, compose(alpha, compose(lp.p1, lp.e2)))
-    if lhs2.table != rhs2.table:
-        x = next(i for i in range(gamma.dom) if lhs2.table[i] != rhs2.table[i])
-        raise CompatibilityViolation(f"c gamma != c alpha p1 e2 at element {x}")
-
-    d_target = compose(d, compose(gamma, lp.p2))
-    c_target = compose(c, compose(alpha, lp.p1))
-    pins: dict[int, int] = {}
-    for a in range(alpha.dom):
-        pins[lp.e1.table[a]] = alpha.table[a]
-    for x in range(gamma.dom):
-        ksi = lp.e2.table[x]
-        if ksi in pins and pins[ksi] != gamma.table[x]:
-            return ExtremalResult(0, (), counted("extremal", 0))
-        pins[ksi] = gamma.table[x]
-
-    allowed = pinned_fibres(d, c, zip(d_target.table, c_target.table), pins)
-    count = 1
-    for fibre in allowed:
-        count *= len(fibre)
-    solutions: tuple[FinMap, ...] = ()
-    if count:
-        first = FinMap(lp.E, d.dom, tuple(f[0] for f in allowed))
-        sols = [first]
-        if count > 1:
-            # second lexicographically-least solution: bump the last free slot
-            table = [f[0] for f in allowed]
-            for ksi in range(lp.E - 1, -1, -1):
-                if len(allowed[ksi]) > 1:
-                    table[ksi] = allowed[ksi][1]
-                    break
-            sols.append(FinMap(lp.E, d.dom, tuple(table)))
-        solutions = tuple(sols)
-    return ExtremalResult(count, solutions,
-                          counted("extremal", count,
-                                  [list(s.table) for s in solutions]))
+    compatibility = (
+        ("d alpha != d gamma p2 e1", compose(d, alpha),
+         compose(d, compose(gamma, compose(lp.p2, lp.e1)))),
+        ("c gamma != c alpha p1 e2", compose(c, gamma),
+         compose(c, compose(alpha, compose(lp.p1, lp.e2)))),
+    )
+    for name, lhs, rhs in compatibility:
+        x = first_mismatch(lhs, rhs)
+        if x is not None:
+            raise CompatibilityViolation(f"{name} at element {x}")
+    return solve_cross(lp.e1, alpha, lp.e2, gamma, d, c,
+                       compose(d, compose(gamma, lp.p2)),
+                       compose(c, compose(alpha, lp.p1)), 2, "extremal")

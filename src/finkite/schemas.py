@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from .algebra import OpAlgebra, Operation, VarietyKite
+from .algebra import OpAlgebra, Operation, VarietyKite, _table_length_error
 from .errors import SchemaError
 from .finmaps import FinMap
 from .internal import (DirectedKite, MultiplicativeGraph, Pregroupoid,
@@ -233,10 +233,13 @@ def load_admissibility_kite(obj: dict, max_size=None) -> AdmissibilityKite:
     return AdmissibilityKite(**m)
 
 
-def load_algebra(obj: dict, variety: Optional[str] = None) -> OpAlgebra:
+def load_algebra(obj: dict, variety: Optional[str] = None,
+                 max_size: Optional[int] = None) -> OpAlgebra:
     size = _need(obj, "size", "algebra")
     if not _is_int(size) or size < 0:
         raise SchemaError("algebra.size: must be a non-negative integer")
+    if max_size is not None and size > max_size:
+        raise SchemaError(f"algebra.size: exceeds the bound {max_size}")
     ops_raw = _need(obj, "ops", "algebra")
     if not isinstance(ops_raw, list):
         raise SchemaError("algebra.ops: must be a list")
@@ -250,9 +253,9 @@ def load_algebra(obj: dict, variety: Optional[str] = None) -> OpAlgebra:
             raise SchemaError(f"{where}.arity: must be a non-negative integer")
         if not isinstance(table, list):
             raise SchemaError(f"{where}.table: must be a list")
-        if len(table) != size ** arity:
-            raise SchemaError(f"{where}.table: length {len(table)}, expected "
-                           f"{size ** arity}")
+        mismatch = _table_length_error(size, arity, len(table))
+        if mismatch is not None:
+            raise SchemaError(f"{where}.table: {mismatch}")
         for j, v in enumerate(table):
             if not _is_int(v) or not (0 <= v < size):
                 raise SchemaError(f"{where}.table[{j}] = {v!r} out of range")
@@ -267,8 +270,8 @@ def dump_algebra(a: OpAlgebra) -> dict:
                      "table": list(op.table)} for op in a.ops]}
 
 
-def load_variety_kite(obj: dict) -> VarietyKite:
-    algs = {n: load_algebra(_need(obj, n, "variety_kite"))
+def load_variety_kite(obj: dict, max_size=None) -> VarietyKite:
+    algs = {n: load_algebra(_need(obj, n, "variety_kite"), max_size=max_size)
             for n in ("A", "B", "C", "D")}
     homs = {}
     for n in ("f", "r", "s", "g", "alpha", "beta", "gamma"):

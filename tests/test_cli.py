@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from finkite.algebra import OpAlgebra, Operation
 from finkite.cli import main
+from finkite.errors import IllTyped
 from finkite.schemas import dump_algebra, dump_finmap
 from finkite.gallery import cyclic_magma, m3_lattice, meet_semilattice2
 
@@ -227,6 +230,28 @@ def test_validate_max_size(capsys, tmp_path):
     assert code == 0
     code, _ = run(capsys, "validate", path, "--max-size", "2")
     assert code == 2
+
+
+def test_validate_max_size_bounds_algebras(capsys, tmp_path):
+    z3 = write(tmp_path, "z3.json", dump_algebra(cyclic_magma(3)))
+    assert run(capsys, "validate", z3, "--max-size", "3")[0] == 0
+    assert run(capsys, "validate", z3, "--max-size", "2")[0] == 2
+    kite = str(Path(__file__).parent / "assets" / "meet2_witness_kite.json")
+    assert run(capsys, "validate", kite)[0] == 0
+    assert run(capsys, "validate", kite, "--max-size", "1")[0] == 2
+
+
+def test_huge_arity_exits_2_with_one_json_line(capsys, tmp_path):
+    path = write(tmp_path, "arity.json",
+                 {"kind": "algebra", "size": 2,
+                  "ops": [{"symbol": "f", "arity": 100000, "table": [0]}]})
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["exit"] == 2
+    with pytest.raises(IllTyped):
+        OpAlgebra(2, (Operation("f", 100000, (0,)),))
 
 
 def test_validate_broken_graph_is_a_verdict(capsys, tmp_path):

@@ -11,7 +11,7 @@ from finkite.gallery import (group_kite, group_kite_bundle, group_pair_maltsev,
                              monoid_tables, one_object_umg, preorder_graph_01,
                              terminal_span_kite, unital_magma_tables)
 from finkite.internal import (Span, kite_from_cat, kite_from_rg,
-                              kite_from_span, kite_from_umg, kpc_swapped,
+                              kite_from_span, kite_from_umg, kpc, kpc_swapped,
                               umg_multiplications)
 from finkite.kitecond import (AdmissibilityKite, KiteDiagram, admissibility_count,
                               assemble_kite, check_hypotheses, delta,
@@ -358,3 +358,50 @@ def test_span_solvers_match_brute_force(span):
     pre = pregroupoid_solutions(span)
     assert_same_solutions(pre, brute_pregroupoids(span))
     assert kite5_pairing(span).ok
+
+
+@given(small_spans())
+@settings(max_examples=120, deadline=None)
+def test_kernel_pair_kite_points_are_the_kpc_triples(span):
+    """kite5_pairing compares solution tables point for point, so point xi
+    of the assembled kite's E must be the kpc triple xi."""
+    _, lp = assemble_kite(kite_from_span(span))
+    k = kpc(span)
+    assert [k.pairs_first[a] + (k.pairs_second[c][1],)
+            for a, c in lp.element_labels] == list(k.triples)
+
+
+@st.composite
+def admissibility_kites(draw):
+    """Split cospans with B <= 2, A, C <= 3, and legs into D <= 3 that
+    agree on B: alpha r = gamma s."""
+    def split(nb):
+        n = draw(st.integers(nb, 3))
+        r = draw(st.permutations(range(n)))[:nb]
+        f = [draw(st.integers(0, nb - 1)) for _ in range(n)]
+        for b, a in enumerate(r):
+            f[a] = b
+        return FinMap(n, nb, tuple(f)), FinMap(nb, n, tuple(r))
+
+    nb, nd = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    (f, r), (g, s) = split(nb), split(nb)
+    alpha = [draw(st.integers(0, nd - 1)) for _ in range(f.dom)]
+    gamma = [draw(st.integers(0, nd - 1)) for _ in range(g.dom)]
+    for b in range(nb):
+        gamma[s.table[b]] = alpha[r.table[b]]
+    beta = FinMap(nb, nd, tuple(alpha[a] for a in r.table))
+    return AdmissibilityKite(f, r, s, g, FinMap(f.dom, nd, tuple(alpha)), beta,
+                             FinMap(g.dom, nd, tuple(gamma)))
+
+
+@given(admissibility_kites())
+@settings(max_examples=150, deadline=None)
+def test_admissibility_count_matches_brute_force(kite):
+    lp = local_product(SplitCospan(kite.f, kite.r, kite.g, kite.s))
+    assume(kite.D ** lp.E <= 4096)
+    want = [phi.table for phi in maps(lp.E, kite.D)
+            if compose(phi, lp.e1) == kite.alpha
+            and compose(phi, lp.e2) == kite.gamma]
+    assert_same_solutions(admissibility_count(kite), want)
+    res = admissibility_count(kite, cap=len(want))
+    assert [s.table for s in res.solutions] == want and not res.truncated
