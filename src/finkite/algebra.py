@@ -1,14 +1,15 @@
 """Finite algebras as operation tables and their Mal'tsev-style checks.
 
-Tables are flat and lexicographically indexed by argument tuples;
-homomorphism checking is an exhaustive tuple scan.  Simplicity beats
-speed at desk scale.
+Tables are flat and lexicographically indexed by argument tuples, and
+the hot loops index them directly; relation closure is semi-naive and
+the admissibility search propagates through per-element watch lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (BudgetExceeded, IllTyped, MissingOperation,
                      MultipleSolutions, NoSolution, NotAHomomorphism,
@@ -86,6 +87,28 @@ def _table_length_error(size: int, arity: int, length: int) -> Optional[str]:
     if length != size ** arity:
         return f"length {length}, expected {size ** arity}"
     return None
+
+
+def _coordinatewise(op_a: Operation, size_a: int, op_c: Operation,
+                    size_c: int, factors) -> Iterator[tuple[int, int]]:
+    """(op_a(xs), op_c(ys)) for every argument tuple of pairs (x_i, y_i)
+    drawn from factors[i], in lexicographic order of the tuples.  Only
+    the index prefixes of the first k - 1 factors are held in memory."""
+    ta, tc = op_a.table, op_c.table
+    idx = [(0, 0)]
+    for pairs in factors[:-1]:
+        idx = [((i + x) * size_a, (j + y) * size_c)
+               for i, j in idx for x, y in pairs]
+    last = factors[-1] if factors else [(0, 0)]   # arity 0: the one entry
+    return ((ta[i + x], tc[j + y]) for i, j in idx for x, y in last)
+
+
+def _first_difference(lhs, rhs, size: int, arity: int) -> Optional[list]:
+    """The arguments where two tables of an operation first differ."""
+    if lhs == rhs:
+        return None
+    i = next(i for i, pair in enumerate(zip(lhs, rhs)) if pair[0] != pair[1])
+    return [i // size ** (arity - 1 - j) % size for j in range(arity)]
 
 
 def binary_op(A: OpAlgebra) -> Operation:
@@ -259,18 +282,33 @@ def check_unary_monoid_law(A: OpAlgebra) -> Report:
     return fails("unary-monoid-law", {"pair": list(w)})
 
 
-def maltsev_solve(A: OpAlgebra, a: int, b: int, c: int) -> int:
-    """The unique x with x * b = a * c for a commutative binary operation."""
+def _maltsev_solver(A: OpAlgebra):
+    """(rows, solve): solve(a, b, c) is the unique x with x * b = a * c."""
+    n = A.size
     op = binary_op(A)
     if _is_commutative(A, op) is not None:
         raise IllTyped("maltsev_solve needs a commutative operation")
-    target = A.apply(op, a, c)
-    sols = [x for x in range(A.size) if A.apply(op, x, b) == target]
-    if not sols:
-        raise NoSolution(f"x * {b} = {a} * {c} has no solution")
-    if len(sols) > 1:
-        raise MultipleSolutions(f"x * {b} = {a} * {c} has {len(sols)} solutions")
-    return sols[0]
+    rows = [op.table[x * n:(x + 1) * n] for x in range(n)]
+    # x * b = b * x, so the solutions of x * b = v are the places of v in row b
+    places = [fibres(row) for row in rows]
+
+    def solve(a: int, b: int, c: int) -> int:
+        sols = places[b].get(rows[a][c], ())
+        if not sols:
+            raise NoSolution(f"x * {b} = {a} * {c} has no solution")
+        if len(sols) > 1:
+            raise MultipleSolutions(f"x * {b} = {a} * {c} has "
+                                    f"{len(sols)} solutions")
+        return sols[0]
+    return rows, solve
+
+
+def maltsev_solve(A: OpAlgebra, a: int, b: int, c: int) -> int:
+    """The unique x with x * b = a * c for a commutative binary operation."""
+    solve = _maltsev_solver(A)[1]
+    if not all(0 <= v < A.size for v in (a, b, c)):
+        raise IllTyped(f"arguments ({a}, {b}, {c}) lie outside 0..{A.size - 1}")
+    return solve(a, b, c)
 
 
 @dataclass(frozen=True)
@@ -288,9 +326,8 @@ def maltsev_table(A: OpAlgebra) -> MaltsevTable:
     x * b = a * c, with its unit laws and the homomorphism law
     certified exhaustively."""
     n = A.size
-    op = binary_op(A)
-    table = tuple(maltsev_solve(A, a, b, c)
-                  for a in range(n) for b in range(n) for c in range(n))
+    rows, solve = _maltsev_solver(A)
+    table = tuple(solve(a, b, c) for a, b, c in product(range(n), repeat=3))
 
     def p(a, b, c):
         return table[(a * n + b) * n + c]
@@ -304,12 +341,15 @@ def maltsev_table(A: OpAlgebra) -> MaltsevTable:
             if p(b, b, a) != a:
                 unit = fails("maltsev-unit-laws", {"law": "p(b,b,c)=c",
                                                    "pair": [b, a]})
+    # p(a,b,c) * p(a2,b2,c2) = p(a*a2, b*b2, c*c2), all (a2, b2, c2) at once
     hom = holds("maltsev-hom-law")
-    for a, b, c, a2, b2, c2 in product(range(n), repeat=6):
-        lhs = A.apply(op, p(a, b, c), p(a2, b2, c2))
-        rhs = p(A.apply(op, a, a2), A.apply(op, b, b2), A.apply(op, c, c2))
-        if lhs != rhs:
-            hom = fails("maltsev-hom-law", {"tuple": [a, b, c, a2, b2, c2]})
+    for u, (a, b, c) in zip(table, product(range(n), repeat=3)):
+        lhs = [rows[u][v] for v in table]
+        rhs = [table[(x * n + y) * n + z]
+               for x in rows[a] for y in rows[b] for z in rows[c]]
+        w = _first_difference(lhs, rhs, n, 3)
+        if w is not None:
+            hom = fails("maltsev-hom-law", {"tuple": [a, b, c] + w})
             break
     return MaltsevTable(table, unit, hom)
 
@@ -320,11 +360,15 @@ def homomorphism_witness(src: OpAlgebra, dst: OpAlgebra,
         return {"reason": "signature mismatch"}
     if len(h) != src.size or any(not 0 <= v < dst.size for v in h):
         return {"reason": "not a map between the carriers"}
+    n, m = src.size, dst.size
     for op_s, op_d in zip(src.ops, dst.ops):
-        for args in product(range(src.size), repeat=op_s.arity):
-            if h[src.apply(op_s, *args)] != \
-               dst.apply(op_d, *tuple(h[a] for a in args)):
-                return {"operation": op_s.symbol, "args": list(args)}
+        idx = [0]        # dst's index of h(xs), for xs in lexicographic order
+        for _ in range(op_s.arity):
+            idx = [j * m + h[x] for j in idx for x in range(n)]
+        args = _first_difference([h[v] for v in op_s.table],
+                                 [op_d.table[j] for j in idx], n, op_s.arity)
+        if args is not None:
+            return {"operation": op_s.symbol, "args": args}
     return None
 
 
@@ -480,26 +524,30 @@ def relation_closure(A: OpAlgebra, seed: Iterable[tuple[int, int]],
                      cap: int = SUBALGEBRA_CAP) -> tuple[tuple[int, int], ...]:
     """Close the diagonal plus a seed set under all operations applied
     coordinatewise."""
-    current = {(x, x) for x in range(A.size)} | set(seed)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(current)
+    return _close(A, (), {(x, x) for x in range(A.size)} | set(seed), cap)
+
+
+def _close(A: OpAlgebra, closed, new, cap: int) -> tuple[tuple[int, int], ...]:
+    """The closure of closed | new, `closed` being closed.  Semi-naive: a
+    round applies the operations only to argument tuples with a pair new
+    in the round before.  It adds the same pairs as a naive round over all
+    pairs, so the cap is met at the same round with the same partial."""
+    n = A.size
+    old, delta = set(closed), set(new).difference(closed)
+    while True:
+        current = old | delta
+        found = set()
         for op in A.ops:
-            if op.arity == 0:
-                v = A.apply(op)
-                current.add((v, v))
-                continue
-            for args in product(snapshot, repeat=op.arity):
-                pair = (A.apply(op, *(p[0] for p in args)),
-                        A.apply(op, *(p[1] for p in args)))
-                if pair not in current:
-                    current.add(pair)
-                    changed = True
-        if len(current) > cap:
+            for i in range(op.arity):
+                tail = (current,) * (op.arity - i - 1)
+                found.update(_coordinatewise(op, n, op, n,
+                                             (old,) * i + (delta,) + tail))
+        old, delta = current, found - current
+        if len(old) + len(delta) > cap:
             raise BudgetExceeded("relation closure exceeded the element cap",
-                                 partial=tuple(sorted(current)))
-    return tuple(sorted(current))
+                                 partial=tuple(sorted(old | delta)))
+        if not delta:
+            return tuple(sorted(old))
 
 
 def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelation, ...]:
@@ -523,7 +571,7 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
                 raise BudgetExceeded(
                     f"relation enumeration exceeded budget {budget}",
                     partial=tuple(found.values()))
-            bigger = relation_closure(A, rel + (q,))
+            bigger = _close(A, have, {q}, SUBALGEBRA_CAP)
             if bigger not in found:
                 found[bigger] = BinaryRelation(A, bigger)
                 frontier.append(bigger)
@@ -603,15 +651,11 @@ def _product_subalgebra(A: OpAlgebra, C: OpAlgebra, labels) -> OpAlgebra:
     """The subalgebra of A x C on the given pairs, which must be closed
     under the operations, applied coordinatewise."""
     index = index_of(labels)
-    ops = []
-    for op_a, op_c in zip(A.ops, C.ops):
-        table = []
-        for args in product(labels, repeat=op_a.arity):
-            pair = (A.apply(op_a, *(p[0] for p in args)),
-                    C.apply(op_c, *(p[1] for p in args)))
-            table.append(index[pair])
-        ops.append(Operation(op_a.symbol, op_a.arity, tuple(table)))
-    return OpAlgebra(len(labels), tuple(ops), "custom")
+    ops = tuple(Operation(op_a.symbol, op_a.arity, tuple(map(
+        index.__getitem__, _coordinatewise(op_a, A.size, op_c, C.size,
+                                           (labels,) * op_a.arity))))
+        for op_a, op_c in zip(A.ops, C.ops))
+    return OpAlgebra(len(labels), ops, "custom")
 
 
 def pullback_subalgebra(vk: VarietyKite) -> tuple[OpAlgebra, tuple]:
@@ -632,7 +676,9 @@ class VarietySolveResult:
 def admissibility_count_variety(vk: VarietyKite,
                                 cap: int = 1000) -> VarietySolveResult:
     """Count homomorphisms phi: A x_B C -> D with phi e1 = alpha and
-    phi e2 = gamma, by backtracking with closure propagation."""
+    phi e2 = gamma, by backtracking with closure propagation through
+    watch lists: assigning x re-checks only the argument tuples holding x.
+    Branching on the least unassigned point meets solutions in order."""
     E, labels = pullback_subalgebra(vk)
     index = index_of(labels)
     pins = cross_pins([index[(a, vk.s[vk.f[a]])] for a in range(vk.A.size)],
@@ -642,50 +688,63 @@ def admissibility_count_variety(vk: VarietyKite,
     if pins is None:
         return VarietySolveResult(0, (), labels)
 
-    tuples_by_op = [(op, tuple(product(range(E.size), repeat=op.arity)))
-                    for op in E.ops if op.arity > 0]
+    m, n = E.size, vk.D.size
+    laws = []            # (E table, D table, argument tuples, watch lists)
+    for op in E.ops:    # nullary ops watch nothing: the pins imply them
+        args = list(product(range(m), repeat=op.arity))
+        watch = [[] for _ in range(m)]
+        for i, xs in enumerate(args):
+            for x in xs:
+                watch[x].append(i)
+        laws.append((op.table, vk.D.op_by_symbol(op.symbol).table, args,
+                     watch))
+    value = [pins.get(i) for i in range(m)]
+    trail: list[int] = []          # assigned elements, in order
 
-    def propagate(assign: dict[int, int]) -> Optional[dict[int, int]]:
-        work = dict(assign)
-        changed = True
-        while changed:
-            changed = False
-            for op, tuples in tuples_by_op:
-                d_op = vk.D.op_by_symbol(op.symbol)
-                for args in tuples:
-                    if any(a not in work for a in args):
-                        continue
-                    out = E.apply(op, *args)
-                    val = vk.D.apply(d_op, *(work[a] for a in args))
-                    if out in work:
-                        if work[out] != val:
-                            return None
+    def propagate(queue: list[int]) -> bool:
+        """Assign what the queued assignments force; False on a conflict."""
+        while queue:
+            e = queue.pop()
+            for t_e, t_d, args, watch in laws:
+                for i in watch[e]:
+                    j = 0
+                    for x in args[i]:
+                        v = value[x]
+                        if v is None:
+                            break
+                        j = j * n + v
                     else:
-                        work[out] = val
-                        changed = True
-        return work
+                        out, want = t_e[i], t_d[j]
+                        if value[out] is None:
+                            value[out] = want
+                            trail.append(out)
+                            queue.append(out)
+                        elif value[out] != want:
+                            return False
+        return True
 
     solutions: list[tuple[int, ...]] = []
     count = 0
-
-    def backtrack(assign: dict[int, int]):
-        nonlocal count
-        assign = propagate(assign)
-        if assign is None:
-            return
-        todo = [i for i in range(E.size) if i not in assign]
-        if not todo:
+    branches: list[list[int]] = []   # [element, next value, trail length]
+    ok = propagate(list(pins))
+    while True:
+        if ok and None in value:
+            branches.append([value.index(None), 0, len(trail)])
+        elif ok:
             count += 1
             if len(solutions) < max(cap, 2):
-                solutions.append(tuple(assign[i] for i in range(E.size)))
-            return
-        i = todo[0]
-        for v in range(vk.D.size):
-            nxt = dict(assign)
-            nxt[i] = v
-            backtrack(nxt)
-
-    backtrack(dict(pins))
+                solutions.append(tuple(value))
+        while branches and branches[-1][1] == n:
+            branches.pop()
+        if not branches:
+            break
+        i, v, mark = branch = branches[-1]
+        branch[1] += 1
+        while len(trail) > mark:
+            value[trail.pop()] = None
+        value[i] = v
+        trail.append(i)
+        ok = propagate([i])
     solutions.sort()
     if count > cap:
         solutions = solutions[:2]
@@ -701,11 +760,12 @@ def wm_witness_search(D: OpAlgebra, budget: int = 2000) -> Optional[VarietyKite]
         rels = reflexive_relations(D, budget=budget)
     except BudgetExceeded as exc:
         rels = exc.partial or ()
+    algebra_of = cache(lambda i: _relation_algebra(D, rels[i].pairs))
     examined = 0
-    for rel_a in rels:
-        alg_a, labels_a = _relation_algebra(D, rel_a.pairs)
-        for rel_c in rels:
-            alg_c, labels_c = _relation_algebra(D, rel_c.pairs)
+    for ia in range(len(rels)):
+        for ic in range(len(rels)):
+            alg_a, labels_a = algebra_of(ia)
+            alg_c, labels_c = algebra_of(ic)
             for fa in (0, 1):
                 for gc in (0, 1):
                     for aa in (0, 1):

@@ -63,7 +63,7 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an over-long integer
         raise SchemaError(f"{path}: invalid JSON ({exc})")
 
 

@@ -1,19 +1,27 @@
+import gc
+import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from finkite import algebra
 from finkite.algebra import (BinaryRelation, OpAlgebra, Operation, VarietyKite,
-                             admissibility_count_variety, check_cancellative,
+                             admissibility_count_variety, binary_op,
+                             check_cancellative,
                              check_commutative, check_distributive,
                              check_joint_cancellative, check_medial,
                              check_naturality_of_p, check_unary_monoid_law,
                              classify_wm_object, equivalence_2_3_check,
                              homomorphism_witness, maltsev_solve,
                              maltsev_table, pullback_subalgebra,
+                             relation_closure,
                              reflexive_relations, relation_properties,
                              unary_monoid_from_group, wm_witness_search)
-from finkite.errors import (IllTyped, MissingOperation, MultipleSolutions,
+from finkite.errors import (BudgetExceeded, FinkiteError, IllTyped,
+                            MissingOperation, MultipleSolutions,
                             NoSolution, NotAHomomorphism, UnsupportedVariety)
+from finkite.report import fails, holds
 from finkite.gallery import (chain_lattice, cyclic_group, cyclic_magma,
                              klein_four, m3_dimagma, m3_lattice,
                              meet_semilattice2, n5_lattice,
@@ -281,3 +289,357 @@ def test_variety_axiom_validation():
                       Operation("join", 2, (0, 0, 0, 1))), "lattice")
     # valid lattice loads
     chain_lattice(3)
+
+
+# --------------------------------------------------------------------------
+# Oracles: the apply-based definitions the table-indexing code replaced,
+# compared with it on random algebras of size <= 3 and arity <= 3.
+
+def naive_closure(A, seed, cap=algebra.SUBALGEBRA_CAP):
+    current = {(x, x) for x in range(A.size)} | set(seed)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = sorted(current)
+        for op in A.ops:
+            if op.arity == 0:
+                v = A.apply(op)
+                current.add((v, v))
+                continue
+            for args in product(snapshot, repeat=op.arity):
+                pair = (A.apply(op, *(p[0] for p in args)),
+                        A.apply(op, *(p[1] for p in args)))
+                if pair not in current:
+                    current.add(pair)
+                    changed = True
+        if len(current) > cap:
+            raise BudgetExceeded("relation closure exceeded the element cap",
+                                 partial=tuple(sorted(current)))
+    return tuple(sorted(current))
+
+
+def naive_reflexive_relations(A, budget):
+    found = {}
+    base = naive_closure(A, ())
+    frontier = [base]
+    found[base] = BinaryRelation(A, base)
+    closures = 1
+    all_pairs = [(x, y) for x in range(A.size) for y in range(A.size) if x != y]
+    while frontier:
+        rel = frontier.pop()
+        for q in all_pairs:
+            if q in rel:
+                continue
+            closures += 1
+            if closures > budget:
+                raise BudgetExceeded(
+                    f"relation enumeration exceeded budget {budget}",
+                    partial=tuple(found.values()))
+            bigger = naive_closure(A, rel + (q,))
+            if bigger not in found:
+                found[bigger] = BinaryRelation(A, bigger)
+                frontier.append(bigger)
+    return tuple(sorted(found.values(), key=lambda r: (len(r.pairs), r.pairs)))
+
+
+def brute_reflexive_relations(A):
+    """Every reflexive relation closed under the operations."""
+    n = A.size
+    off = [(x, y) for x in range(n) for y in range(n) if x != y]
+    out = []
+    for mask in range(1 << len(off)):
+        rel = {(x, x) for x in range(n)}
+        rel |= {q for i, q in enumerate(off) if mask >> i & 1}
+        if all((A.apply(op, *(p[0] for p in args)),
+                A.apply(op, *(p[1] for p in args))) in rel
+               for op in A.ops for args in product(rel, repeat=op.arity)):
+            out.append(tuple(sorted(rel)))
+    return sorted(out, key=lambda r: (len(r), r))
+
+
+def oracle_maltsev_solve(A, a, b, c):
+    op = binary_op(A)
+    if not check_commutative(A).ok:
+        raise IllTyped("maltsev_solve needs a commutative operation")
+    target = A.apply(op, a, c)
+    sols = [x for x in range(A.size) if A.apply(op, x, b) == target]
+    if not sols:
+        raise NoSolution(f"x * {b} = {a} * {c} has no solution")
+    if len(sols) > 1:
+        raise MultipleSolutions(f"x * {b} = {a} * {c} has {len(sols)} solutions")
+    return sols[0]
+
+
+def oracle_maltsev_table(A):
+    n = A.size
+    op = binary_op(A)
+    table = tuple(oracle_maltsev_solve(A, a, b, c)
+                  for a in range(n) for b in range(n) for c in range(n))
+
+    def p(a, b, c):
+        return table[(a * n + b) * n + c]
+
+    unit = holds("maltsev-unit-laws")
+    for a in range(n):
+        for b in range(n):
+            if p(a, b, b) != a:
+                unit = fails("maltsev-unit-laws", {"law": "p(a,b,b)=a",
+                                                   "pair": [a, b]})
+            if p(b, b, a) != a:
+                unit = fails("maltsev-unit-laws", {"law": "p(b,b,c)=c",
+                                                   "pair": [b, a]})
+    hom = holds("maltsev-hom-law")
+    for a, b, c, a2, b2, c2 in product(range(n), repeat=6):
+        lhs = A.apply(op, p(a, b, c), p(a2, b2, c2))
+        rhs = p(A.apply(op, a, a2), A.apply(op, b, b2), A.apply(op, c, c2))
+        if lhs != rhs:
+            hom = fails("maltsev-hom-law", {"tuple": [a, b, c, a2, b2, c2]})
+            break
+    return algebra.MaltsevTable(table, unit, hom)
+
+
+def oracle_homomorphism_witness(src, dst, h):
+    if src.signature != dst.signature:
+        return {"reason": "signature mismatch"}
+    if len(h) != src.size or any(not 0 <= v < dst.size for v in h):
+        return {"reason": "not a map between the carriers"}
+    for op_s, op_d in zip(src.ops, dst.ops):
+        for args in product(range(src.size), repeat=op_s.arity):
+            if h[src.apply(op_s, *args)] != \
+               dst.apply(op_d, *tuple(h[a] for a in args)):
+                return {"operation": op_s.symbol, "args": list(args)}
+    return None
+
+
+def oracle_product_subalgebra(A, C, labels):
+    index = {lab: i for i, lab in enumerate(labels)}
+    ops = []
+    for op_a, op_c in zip(A.ops, C.ops):
+        table = [index[(A.apply(op_a, *(p[0] for p in args)),
+                        C.apply(op_c, *(p[1] for p in args)))]
+                 for args in product(labels, repeat=op_a.arity)]
+        ops.append(Operation(op_a.symbol, op_a.arity, tuple(table)))
+    return OpAlgebra(len(labels), tuple(ops), "custom")
+
+
+def outcome(fn, *args):
+    """The value, or the exception's type, text and partial."""
+    try:
+        return fn(*args)
+    except FinkiteError as exc:
+        return type(exc), str(exc), getattr(exc, "partial", None)
+
+
+def signatures(max_ops=2):
+    return st.lists(st.integers(0, 3), max_size=max_ops).map(
+        lambda arities: tuple((f"o{i}", k) for i, k in enumerate(arities)))
+
+
+def algebras(size, signature):
+    return st.tuples(*(st.lists(st.integers(0, size - 1), min_size=size ** k,
+                                max_size=size ** k)
+                       for _, k in signature)).map(
+        lambda tables: OpAlgebra(size, tuple(
+            Operation(sym, k, tuple(t))
+            for (sym, k), t in zip(signature, tables))))
+
+
+def small_algebras():
+    return st.tuples(st.integers(1, 3), signatures()).flatmap(
+        lambda ns: algebras(*ns))
+
+
+@st.composite
+def commutative_magmas(draw):
+    """Random commutative tables, and isotopes x * y = sigma(x + y) of
+    Z_n and of (Z_2)^2, which are cancellative and, for n = 4, fail the
+    hom law when sigma is not affine."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        sigma = draw(st.permutations(range(n)))
+        groups = [lambda x, y: (x + y) % n]
+        if n in (2, 4):
+            groups.append(lambda x, y: x ^ y)
+        add = draw(st.sampled_from(groups))
+        value = {(x, y): sigma[add(x, y)] for x in range(n) for y in range(n)}
+    else:
+        value = {}
+        for x in range(n):
+            for y in range(x, n):
+                value[x, y] = value[y, x] = draw(st.integers(0, n - 1))
+    return OpAlgebra(n, (Operation("*", 2, tuple(
+        value[x, y] for x in range(n) for y in range(n))),), "cmag")
+
+
+@given(small_algebras(), st.lists(st.tuples(st.integers(0, 2),
+                                            st.integers(0, 2)), max_size=2),
+       st.integers(0, 10))
+@settings(max_examples=200, deadline=None)
+def test_relation_closure_matches_naive_fixpoint(A, seed, cap):
+    seed = [(x % A.size, y % A.size) for x, y in seed]
+    assert outcome(relation_closure, A, seed, cap) == \
+        outcome(naive_closure, A, seed, cap)
+    assert relation_closure(A, seed) == naive_closure(A, seed)
+
+
+@given(small_algebras(), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_reflexive_relations_match_brute_force(A, budget):
+    rels = reflexive_relations(A)
+    assert [r.pairs for r in rels] == brute_reflexive_relations(A)
+    assert outcome(reflexive_relations, A, budget) == \
+        outcome(naive_reflexive_relations, A, budget)
+
+
+@given(commutative_magmas())
+@settings(max_examples=150, deadline=None)
+def test_maltsev_table_matches_per_entry_solve(A):
+    assert outcome(maltsev_table, A) == outcome(oracle_maltsev_table, A)
+
+
+@given(commutative_magmas(), st.tuples(*[st.integers(0, 3)] * 3))
+@settings(max_examples=150, deadline=None)
+def test_maltsev_solve_matches_apply_scan(A, triple):
+    a, b, c = (v % A.size for v in triple)
+    assert outcome(maltsev_solve, A, a, b, c) == \
+        outcome(oracle_maltsev_solve, A, a, b, c)
+
+
+def test_maltsev_solve_rejects_arguments_outside_the_carrier():
+    z3 = cyclic_magma(3)
+    for triple in [(0, 3, 0), (-1, 0, 0), (0, 0, -3)]:
+        with pytest.raises(IllTyped):
+            maltsev_solve(z3, *triple)
+    with pytest.raises(IllTyped, match="commutative"):
+        maltsev_solve(left_projection_magma(), 0, 5, 0)
+
+
+def test_ternary_closure_holds_only_index_prefixes():
+    # the closure of x - y + z on Z_8 from {(0, 1)} is all 64 pairs; a
+    # round must not hold its |delta| * |current|^2 images at once
+    n = 8
+    A = OpAlgebra(n, (Operation("p", 3, tuple(
+        (x - y + z) % n for x, y, z in product(range(n), repeat=3))),))
+    tracemalloc.start()
+    try:
+        pairs = relation_closure(A, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == n * n
+    assert peak < 2_000_000
+
+
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3),
+                 signatures()).flatmap(
+    lambda t: st.tuples(algebras(t[0], t[2]), algebras(t[1], t[2]),
+                        st.lists(st.integers(0, t[1] - 1), min_size=t[0],
+                                 max_size=t[0]))))
+@settings(max_examples=200, deadline=None)
+def test_homomorphism_witness_matches_apply_scan(case):
+    src, dst, h = case
+    assert homomorphism_witness(src, dst, tuple(h)) == \
+        oracle_homomorphism_witness(src, dst, tuple(h))
+    for k in range(src.size):   # constant maps are often homomorphisms
+        assert homomorphism_witness(src, src, (k,) * src.size) == \
+            oracle_homomorphism_witness(src, src, (k,) * src.size)
+
+
+@st.composite
+def projection_kites(draw):
+    """The search's kites: relation algebras on a random D with
+    projection legs and diagonal sections."""
+    D = draw(small_algebras())
+    rels = reflexive_relations(D)
+    rel_a, rel_c = draw(st.sampled_from(rels)), draw(st.sampled_from(rels))
+    alg_a, labels_a = algebra._relation_algebra(D, rel_a.pairs)
+    alg_c, labels_c = algebra._relation_algebra(D, rel_c.pairs)
+    assert alg_a == oracle_product_subalgebra(D, D, labels_a)
+    legs = draw(st.tuples(*[st.integers(0, 1)] * 4))
+    kite = algebra._projection_kite(D, alg_a, labels_a, alg_c, labels_c,
+                                    *legs)
+    assume(kite is not None)
+    return kite
+
+
+def pointed_kite(D, d0):
+    """A = C = D, B the one-point algebra, r = s = the idempotent point d0
+    and alpha = gamma = 1: the maps phi on D x D with phi(x, d0) = x =
+    phi(d0, x), for operations that need not commute."""
+    B = OpAlgebra(1, tuple(Operation(op.symbol, op.arity, (0,))
+                           for op in D.ops))
+    ident, bang = tuple(range(D.size)), (0,) * D.size
+    return VarietyKite(D, B, D, D, bang, (d0,), (d0,), bang, ident, (d0,),
+                       ident)
+
+
+@st.composite
+def pointed_kites(draw):
+    D = draw(small_algebras())
+    d0 = draw(st.integers(0, D.size - 1))
+    ops = []
+    for op in D.ops:
+        table = list(op.table)
+        table[sum(d0 * D.size ** j for j in range(op.arity))] = d0
+        ops.append(Operation(op.symbol, op.arity, tuple(table)))
+    return pointed_kite(OpAlgebra(D.size, tuple(ops)), d0)
+
+
+# x * y = x for x != 0, and 0 * y = (0, 0, 1)[y]: phi(1, 2) is pinned only
+# through the tuples where (1, 2) is the right argument, so a search that
+# re-checked left arguments alone would count 2 solutions here, not 1
+RIGHT_PINNED = pointed_kite(OpAlgebra(3, (Operation(
+    "*", 2, (0, 0, 1, 1, 1, 1, 2, 2, 2)),)), 0)
+
+
+@given(st.one_of(projection_kites(), pointed_kites()))
+@example(RIGHT_PINNED)
+@settings(max_examples=200, deadline=None)
+def test_admissibility_count_variety_matches_brute_force(kite):
+    E, labels = pullback_subalgebra(kite)
+    assert E == oracle_product_subalgebra(kite.A, kite.C, labels)
+    D = kite.D
+    index = {lab: i for i, lab in enumerate(labels)}
+    e1 = [index[(a, kite.s[kite.f[a]])] for a in range(kite.A.size)]
+    e2 = [index[(kite.r[kite.g[c]], c)] for c in range(kite.C.size)]
+    # every map E -> D, except that points of the cross take only the
+    # value that alpha (on e1) gives them
+    cross = dict(zip(e1, kite.alpha))
+    choices = [[cross[i]] if i in cross else range(D.size)
+               for i in range(E.size)]
+    assume(D.size ** (E.size - len(cross)) <= 4096)
+    want = [phi for phi in product(*choices)
+            if [phi[i] for i in e1] == list(kite.alpha)
+            and [phi[i] for i in e2] == list(kite.gamma)
+            and oracle_homomorphism_witness(E, D, phi) is None]
+    res = admissibility_count_variety(kite, cap=1)
+    assert res.count == len(want) and list(res.solutions) == want[:2]
+    res = admissibility_count_variety(kite, cap=len(want))
+    assert res.count == len(want) and list(res.solutions) == want
+
+
+def test_admissibility_search_leaves_no_reference_cycles():
+    """Each call's tables are freed at return, not at the next
+    collection."""
+    kite = wm_witness_search(meet_semilattice2())
+    gc.collect()
+    gc.disable()
+    try:
+        assert admissibility_count_variety(kite).count >= 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_wm_witness_search_builds_each_relation_algebra_once(monkeypatch):
+    built = []
+    build = algebra._relation_algebra
+
+    def counting(D, pairs):
+        built.append(tuple(pairs))
+        return build(D, pairs)
+
+    monkeypatch.setattr(algebra, "_relation_algebra", counting)
+    D = chain_lattice(3)
+    assert wm_witness_search(D) is None
+    assert sorted(built) == sorted(r.pairs for r in reflexive_relations(D))

@@ -150,6 +150,16 @@ def test_maltsev_op(capsys, tmp_path):
     assert code == 1 and out["verdict"] == "fails"
 
 
+@pytest.mark.parametrize("triple", [("0", "5", "0"), ("-1", "0", "0")])
+def test_maltsev_op_out_of_range_exits_2(capsys, tmp_path, triple):
+    z3 = write(tmp_path, "z3.json", dump_algebra(cyclic_magma(3)))
+    assert main(["maltsev-op", z3, *triple]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["exit"] == 2
+
+
 def test_relations_command(capsys, tmp_path):
     empty = write(tmp_path, "two.json",
                   {"kind": "algebra", "size": 2, "variety": "custom",
@@ -252,6 +262,19 @@ def test_huge_arity_exits_2_with_one_json_line(capsys, tmp_path):
     assert len(lines) == 1 and json.loads(lines[0])["exit"] == 2
     with pytest.raises(IllTyped):
         OpAlgebra(2, (Operation("f", 100000, (0,)),))
+
+
+def test_over_long_integer_exits_2_with_one_json_line(capsys, tmp_path):
+    # json.load refuses integers of more than 4300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    path = tmp_path / "long.json"
+    path.write_text('{"kind": "algebra", "size": ' + "9" * 5000
+                    + ', "ops": []}', encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["exit"] == 2
 
 
 def test_validate_broken_graph_is_a_verdict(capsys, tmp_path):
