@@ -552,29 +552,35 @@ def _close(A: OpAlgebra, closed, new, cap: int) -> tuple[tuple[int, int], ...]:
 
 def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelation, ...]:
     """All compatible reflexive relations on A, by closing the diagonal
-    plus candidate seeds.  Raises BudgetExceeded with partial results
-    when more than `budget` closures would be needed."""
+    plus candidate seeds.  Raises BudgetExceeded, with the relations
+    found so far as its partial, when more than `budget` closures would
+    be needed or a closure grows past SUBALGEBRA_CAP pairs."""
     found: dict[tuple, BinaryRelation] = {}
-    base = relation_closure(A, ())
-    frontier = [base]
-    found[base] = BinaryRelation(A, base)
-    closures = 1
-    all_pairs = [(x, y) for x in range(A.size) for y in range(A.size) if x != y]
-    while frontier:
-        rel = frontier.pop()
-        have = set(rel)
-        for q in all_pairs:
-            if q in have:
-                continue
-            closures += 1
-            if closures > budget:
-                raise BudgetExceeded(
-                    f"relation enumeration exceeded budget {budget}",
-                    partial=tuple(found.values()))
-            bigger = _close(A, have, {q}, SUBALGEBRA_CAP)
-            if bigger not in found:
-                found[bigger] = BinaryRelation(A, bigger)
-                frontier.append(bigger)
+    try:
+        base = relation_closure(A, ())
+        frontier = [base]
+        found[base] = BinaryRelation(A, base)
+        closures = 1
+        all_pairs = [(x, y) for x in range(A.size) for y in range(A.size)
+                     if x != y]
+        while frontier:
+            rel = frontier.pop()
+            have = set(rel)
+            for q in all_pairs:
+                if q in have:
+                    continue
+                closures += 1
+                if closures > budget:
+                    raise BudgetExceeded(
+                        f"relation enumeration exceeded budget {budget}")
+                bigger = _close(A, have, {q}, SUBALGEBRA_CAP)
+                if bigger not in found:
+                    found[bigger] = BinaryRelation(A, bigger)
+                    frontier.append(bigger)
+    except BudgetExceeded as exc:
+        # A closure's own partial is a tuple of pairs; callers read this
+        # partial as relations.
+        raise BudgetExceeded(str(exc), partial=tuple(found.values())) from None
     return tuple(sorted(found.values(), key=lambda r: (len(r.pairs), r.pairs)))
 
 

@@ -7,6 +7,7 @@ format error, 3 budget exceeded/inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Optional
@@ -257,10 +258,10 @@ def _cmd_relations(args) -> int:
     algebra = schemas.load_algebra(_read_json(args.file))
     try:
         rels = alg.reflexive_relations(algebra, budget=args.budget)
-        complete = True
+        stopped = None
     except BudgetExceeded as exc:
         rels = exc.partial or ()
-        complete = False
+        stopped = str(exc)
     listing = []
     for r in rels:
         props = alg.relation_properties(r)
@@ -268,10 +269,10 @@ def _cmd_relations(args) -> int:
                         "symmetric": props.symmetric,
                         "transitive": props.transitive,
                         "difunctional": props.difunctional})
-    if not complete:
+    if stopped is not None:
         return _emit(args, inconclusive("relations",
-                                        [f"budget {args.budget} exceeded; "
-                                         f"{len(rels)} relations found"]),
+                                        [f"{stopped}; {len(rels)} "
+                                         "relations found"]),
                      {"relations": listing})
     return _emit(args, counted("relations", len(rels)),
                  {"relations": listing})
@@ -320,6 +321,16 @@ def _cmd_ismember(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser.  It is built once per process and
+    shared: `parse_args` makes a fresh Namespace per call and leaves the
+    parser unchanged, so callers may parse with it but not extend it."""
+    return _parser()
+
+
+# The cache sits here, not on build_parser, so that build_parser stays a
+# plain function: bench/tracer.py wraps and times only plain functions.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finkite",
         description="Finite-set local products, kernel pair constructions, "

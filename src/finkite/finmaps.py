@@ -33,10 +33,15 @@ class FinMap:
         if len(self.table) != self.dom:
             raise IllTyped(
                 f"table length {len(self.table)} does not match dom {self.dom}")
-        for j, v in enumerate(self.table):
-            if not (0 <= v < self.cod):
-                raise IllTyped(
-                    f"table entry {v} at index {j} is out of range for cod {self.cod}")
+        # One tight pass accepts; only a rejected table is scanned again
+        # to name its first bad entry.
+        cod = self.cod
+        for v in self.table:
+            if not 0 <= v < cod:
+                j = next(j for j, u in enumerate(self.table)
+                         if not 0 <= u < cod)
+                raise IllTyped(f"table entry {self.table[j]} at index {j} "
+                               f"is out of range for cod {cod}")
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -51,7 +56,8 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
     if f.cod != g.dom:
         raise DomainMismatch(
             f"cannot compose: middle objects differ ({f.cod} vs {g.dom})")
-    return FinMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+    table = g.table
+    return FinMap(f.dom, g.cod, tuple([table[v] for v in f.table]))
 
 
 def is_mono(f: FinMap) -> bool:

@@ -186,22 +186,33 @@ def group_kite_bundle(n: int):
     """The Z_n group kite together with the canonical unital
     multiplications needed by the theta and delta constructions: mu on
     the swapped kernel pair construction of the direction span, and
-    mu_e on the swapped construction of the span (E, p2, p1)."""
+    mu_e on the swapped construction of the span (E, p2, p1).  Both
+    read the Mal'tsev operation from one table of its D^3 values."""
     from .internal import kpc, kpc_swapped
     from .kitecond import maltsev_mu
 
     span = group_pair_span(n)
     kd, _ = assemble_kite(kite_from_span(span))
-    p_d = group_pair_maltsev(n)
+    D = n * n
+    p = group_pair_maltsev(n)
+    table = [p(i, j, k) for i in range(D) for j in range(D) for k in range(D)]
+
+    def p_d(i: int, j: int, k: int) -> int:
+        return table[(i * D + j) * D + k]
+
     mu = maltsev_mu(kpc_swapped(span), p_d)
-    # The points of the kite's E are the kpc triples, in order.
-    triples = kpc(span).triples
-    t_index = index_of(triples)
+    # The points of the kite's E are the kpc triples, in order, with
+    # columns x = dom, y = mid, z = cod; a triple (x, y, z) is coded as
+    # (x D + y) D + z, the same index arithmetic as the table's.
+    plain = kpc(span)
+    xs, ys, zs = plain.dom.table, plain.mid.table, plain.cod.table
+    t_index = index_of((x * D + y) * D + z for x, y, z in zip(xs, ys, zs))
 
     def p_e(i: int, j: int, k: int) -> int:
-        image = tuple(p_d(triples[i][t], triples[j][t], triples[k][t])
-                      for t in range(3))
-        return t_index[image]
+        x = table[(xs[i] * D + xs[j]) * D + xs[k]]
+        y = table[(ys[i] * D + ys[j]) * D + ys[k]]
+        z = table[(zs[i] * D + zs[j]) * D + zs[k]]
+        return t_index[(x * D + y) * D + z]
 
     mu_e = maltsev_mu(kpc_swapped(Span(kd.p2, kd.p1)), p_e)
     return kd, mu, mu_e

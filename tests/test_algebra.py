@@ -643,3 +643,13 @@ def test_wm_witness_search_builds_each_relation_algebra_once(monkeypatch):
     D = chain_lattice(3)
     assert wm_witness_search(D) is None
     assert sorted(built) == sorted(r.pairs for r in reflexive_relations(D))
+
+
+def test_relation_over_the_closure_cap_leaves_as_relations():
+    """On Z_23 the closure of the diagonal plus (0, 1) has 529 pairs, past
+    SUBALGEBRA_CAP: the partial holds the relations found before it."""
+    A = cyclic_magma(23)
+    with pytest.raises(BudgetExceeded, match="element cap") as info:
+        reflexive_relations(A)
+    assert info.value.partial == (BinaryRelation(A, relation_closure(A, ())),)
+    assert wm_witness_search(A) is None

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from finkite.algebra import OpAlgebra, Operation
-from finkite.cli import main
+from finkite.cli import build_parser, main
 from finkite.errors import IllTyped
 from finkite.schemas import dump_algebra, dump_finmap
 from finkite.gallery import cyclic_magma, m3_lattice, meet_semilattice2
@@ -308,3 +308,25 @@ def test_human_flag(capsys):
     code = main(["--human", "wm-object", "--size", "1"])
     out = capsys.readouterr().out
     assert code == 0 and "wm-object: holds" in out
+
+
+def test_relations_over_the_closure_cap_is_inconclusive(capsys, tmp_path):
+    z23 = write(tmp_path, "z23.json", dump_algebra(cyclic_magma(23)))
+    code = main(["relations", z23, "--reflexive"])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 3 and captured.err == ""
+    assert out["verdict"] == "inconclusive"
+    assert out["details"] == ["relation closure exceeded the element cap; "
+                              "1 relations found"]
+    assert [len(r["pairs"]) for r in out["relations"]] == [23]
+
+
+def test_shared_parser_keeps_no_state_between_calls():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["kpc", "a.json", "--swapped"])
+    second = parser.parse_args(["kpc", "b.json"])
+    assert first is not second
+    assert (first.file, first.swapped) == ("a.json", True)
+    assert (second.file, second.swapped) == ("b.json", False)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finkite.errors import DomainMismatch, IllTyped
 from finkite.finmaps import (FinMap, compose, identity, is_epi, is_mono,
@@ -171,3 +171,44 @@ def test_table_validation():
         FinMap(2, 2, (0, 2))
     with pytest.raises(IllTyped):
         FinMap(2, 2, (0,))
+
+
+def old_range_check(dom, cod, table):
+    """The per-entry range check FinMap made before its single-pass form."""
+    for j, v in enumerate(table):
+        if not (0 <= v < cod):
+            raise IllTyped(
+                f"table entry {v} at index {j} is out of range for cod {cod}")
+
+
+def outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+ENTRIES = st.one_of(st.integers(-3, 8), st.booleans(),
+                    st.floats(-2, 8, allow_nan=False), st.just(float("nan")),
+                    st.none())
+
+
+@given(st.integers(0, 6), st.lists(ENTRIES, max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_range_check_matches_the_per_entry_loop(cod, table):
+    """Same verdict, and on a reject the same exception and message, as
+    the per-entry loop: negative, out-of-range, bool, float, NaN and None
+    entries."""
+    assert outcome(FinMap, len(table), cod, tuple(table)) == \
+        outcome(old_range_check, len(table), cod, tuple(table))
+
+
+def test_range_check_names_the_first_bad_entry():
+    with pytest.raises(IllTyped, match="entry 7 at index 2 .* cod 3$"):
+        FinMap(5, 3, (0, 2, 7, -1, 9))
+    with pytest.raises(IllTyped, match="entry -1 at index 0 "):
+        FinMap(2, 3, (-1, 5))
+    assert FinMap(2, 2, (True, False)).table == (True, False)
+    with pytest.raises(TypeError):
+        FinMap(2, 3, (0, None))

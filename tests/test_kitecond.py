@@ -10,9 +10,9 @@ from finkite.gallery import (group_kite, group_kite_bundle, group_pair_maltsev,
                              group_pair_span, is_associative_table,
                              monoid_tables, one_object_umg, preorder_graph_01,
                              terminal_span_kite, unital_magma_tables)
-from finkite.internal import (Span, kite_from_cat, kite_from_rg,
-                              kite_from_span, kite_from_umg, kpc, kpc_swapped,
-                              umg_multiplications)
+from finkite.internal import (Span, composable_pairs, kite_from_cat,
+                              kite_from_rg, kite_from_span, kite_from_umg, kpc,
+                              kpc_swapped, umg_multiplications)
 from finkite.kitecond import (AdmissibilityKite, KiteDiagram, admissibility_count,
                               assemble_kite, check_hypotheses, delta,
                               delta_identity_check, kite5_pairing, maltsev_mu,
@@ -405,3 +405,105 @@ def test_admissibility_count_matches_brute_force(kite):
     assert_same_solutions(admissibility_count(kite), want)
     res = admissibility_count(kite, cap=len(want))
     assert [s.table for s in res.solutions] == want and not res.truncated
+
+
+def maltsev_mu_by_pairs(k, p):
+    """maltsev_mu as first written: each composable pair's triples are
+    indexed as tuples, and the multiplication is validated with a fresh
+    identity per unit law."""
+    c2 = composable_pairs(k.graph)
+    t_index = {t: i for i, t in enumerate(k.triples)}
+    table = []
+    for (ui, vi) in c2.labels:
+        U, V = k.triples[ui], k.triples[vi]
+        m0 = k.dom.table[ui]
+        w = tuple(p(U[j], m0, V[j]) for j in range(3))
+        if w not in t_index:
+            raise IllTyped(f"mu image {w} leaves the triple object")
+        table.append(t_index[w])
+    mu = FinMap(c2.size, k.size, tuple(table))
+    if compose(mu, c2.e1).table != identity(k.size).table:
+        raise IllTyped("mu e1 != 1 on the triple object")
+    if compose(mu, c2.e2).table != identity(k.size).table:
+        raise IllTyped("mu e2 != 1 on the triple object")
+    if compose(k.graph.d, mu).table != compose(k.graph.d, c2.pi2).table:
+        raise IllTyped("dom mu != dom pi2")
+    if compose(k.graph.c, mu).table != compose(k.graph.c, c2.pi1).table:
+        raise IllTyped("cod mu != cod pi1")
+    return mu
+
+
+def recorded_mu(build, k, table, D):
+    """build(k, p) for p read from a flat D^3 table, with the calls of p
+    in order and the result table or the exception's type and text."""
+    calls = []
+
+    def p(x, y, z):
+        calls.append((x, y, z))
+        return table[(x * D + y) * D + z]
+    try:
+        out = build(k, p).table
+    except Exception as exc:
+        out = (type(exc), str(exc))
+    return out, calls
+
+
+def assert_mu_matches_pairs(span, table):
+    for k in (kpc(span), kpc_swapped(span)):
+        assert recorded_mu(maltsev_mu, k, table, span.D) == \
+            recorded_mu(maltsev_mu_by_pairs, k, table, span.D)
+
+
+def maltsev_tables(D):
+    """p(x, y, z) tables on D points: arbitrary, with values up to D (one
+    past the carrier), or with p(x, y, y) = x and p(y, y, z) = z forced."""
+    def build(args):
+        raw, forced = args
+        table = list(raw)
+        if forced:
+            for x, y in product(range(D), repeat=2):
+                table[(x * D + y) * D + y] = x
+                table[(y * D + y) * D + x] = x
+        return table
+    return st.tuples(st.lists(st.integers(0, D), min_size=D ** 3,
+                              max_size=D ** 3), st.booleans()).map(build)
+
+
+@given(small_spans().filter(lambda s: 1 <= s.D <= 4).flatmap(
+    lambda s: st.tuples(st.just(s), maltsev_tables(s.D))))
+@settings(max_examples=150, deadline=None)
+def test_maltsev_mu_matches_the_per_pair_definition(case):
+    """Same table, same calls of p in the same order, and the same
+    exception type and text, on both kernel pair constructions."""
+    assert_mu_matches_pairs(*case)
+
+
+def test_maltsev_mu_matches_the_per_pair_definition_on_valid_operations():
+    for D in (1, 2, 3, 4):
+        bang = FinMap(D, 1, (0,) * D)
+        table = [(x - y + z) % D for x, y, z in product(range(D), repeat=3)]
+        assert_mu_matches_pairs(Span(bang, bang), table)
+    p = group_pair_maltsev(2)
+    assert_mu_matches_pairs(group_pair_span(2),
+                            [p(*t) for t in product(range(4), repeat=3)])
+
+
+def bundle_from_callable(n):
+    """group_kite_bundle as first written: the callable group_pair_maltsev,
+    and p_e indexing the kpc triples as tuples."""
+    span = group_pair_span(n)
+    kd, _ = assemble_kite(kite_from_span(span))
+    p_d = group_pair_maltsev(n)
+    mu = maltsev_mu_by_pairs(kpc_swapped(span), p_d)
+    triples = kpc(span).triples
+    t_index = {t: i for i, t in enumerate(triples)}
+
+    def p_e(i, j, k):
+        return t_index[tuple(p_d(triples[i][t], triples[j][t], triples[k][t])
+                             for t in range(3))]
+    return kd, mu, maltsev_mu_by_pairs(kpc_swapped(Span(kd.p2, kd.p1)), p_e)
+
+
+def test_group_kite_bundle_matches_the_callable_construction():
+    for n in (2, 3):
+        assert group_kite_bundle(n) == bundle_from_callable(n)
