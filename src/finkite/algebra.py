@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import (BudgetExceeded, IllTyped, MissingOperation,
@@ -362,11 +363,13 @@ def homomorphism_witness(src: OpAlgebra, dst: OpAlgebra,
         return {"reason": "not a map between the carriers"}
     n, m = src.size, dst.size
     for op_s, op_d in zip(src.ops, dst.ops):
-        idx = [0]        # dst's index of h(xs), for xs in lexicographic order
-        for _ in range(op_s.arity):
-            idx = [j * m + h[x] for j in idx for x in range(n)]
-        args = _first_difference([h[v] for v in op_s.table],
-                                 [op_d.table[j] for j in idx], n, op_s.arity)
+        t_d = op_d.table
+        idx = [0]        # m * dst's index of h(xs), for all but the last x
+        for _ in range(op_s.arity - 1):
+            idx = [(j + y) * m for j in idx for y in h]
+        rhs = [t_d[j + y] for j in idx for y in h] if op_s.arity else [t_d[0]]
+        args = _first_difference([h[v] for v in op_s.table], rhs, n,
+                                 op_s.arity)
         if args is not None:
             return {"operation": op_s.symbol, "args": args}
     return None
@@ -516,9 +519,6 @@ class BinaryRelation:
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
 
-    def __contains__(self, pair) -> bool:
-        return pair in set(self.pairs)
-
 
 def relation_closure(A: OpAlgebra, seed: Iterable[tuple[int, int]],
                      cap: int = SUBALGEBRA_CAP) -> tuple[tuple[int, int], ...]:
@@ -551,21 +551,28 @@ def _close(A: OpAlgebra, closed, new, cap: int) -> tuple[tuple[int, int], ...]:
 
 
 def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelation, ...]:
-    """All compatible reflexive relations on A, by closing the diagonal
-    plus candidate seeds.  Raises BudgetExceeded, with the relations
-    found so far as its partial, when more than `budget` closures would
-    be needed or a closure grows past SUBALGEBRA_CAP pairs."""
+    """All compatible reflexive relations on A, by closing each relation
+    found with one more pair q.  The closure of R u {q} is the closure of
+    R u P(q), P(q) being the principal relation closure(diagonal u {q}),
+    so within one R a single closure per distinct P(q) is enough (after
+    Freese, "Computing congruences efficiently", 2008); on the closure
+    of the diagonal it is P(q) itself.  Every candidate q still counts
+    one unit of the budget.  Raises BudgetExceeded, with the relations
+    found so far as its partial, when more than `budget` candidates
+    would be needed or a closure grows past SUBALGEBRA_CAP pairs."""
     found: dict[tuple, BinaryRelation] = {}
     try:
         base = relation_closure(A, ())
         frontier = [base]
         found[base] = BinaryRelation(A, base)
+        principal: dict[tuple, tuple] = {}    # q -> P(q)
         closures = 1
         all_pairs = [(x, y) for x in range(A.size) for y in range(A.size)
                      if x != y]
         while frontier:
             rel = frontier.pop()
             have = set(rel)
+            done = set()          # the P(q) already joined to rel
             for q in all_pairs:
                 if q in have:
                     continue
@@ -573,7 +580,14 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
                 if closures > budget:
                     raise BudgetExceeded(
                         f"relation enumeration exceeded budget {budget}")
-                bigger = _close(A, have, {q}, SUBALGEBRA_CAP)
+                p = principal.get(q)
+                if p is None:     # first met in base's pass: have = base
+                    p = principal[q] = _close(A, have, {q}, SUBALGEBRA_CAP)
+                if p in done:
+                    continue
+                done.add(p)
+                bigger = p if rel is base else \
+                    _close(A, have, p, SUBALGEBRA_CAP)
                 if bigger not in found:
                     found[bigger] = BinaryRelation(A, bigger)
                     frontier.append(bigger)
@@ -592,23 +606,18 @@ class RelationProperties:
 
 
 def relation_properties(R: BinaryRelation) -> RelationProperties:
-    pairs = set(R.pairs)
-    symmetric = all((b, a) in pairs for (a, b) in pairs)
-    transitive = all((a, c) in pairs
-                     for (a, b) in pairs for (b2, c) in pairs if b == b2)
-    difunctional = True
-    for (a, b) in pairs:
-        for (c, b2) in pairs:
-            if b2 != b:
-                continue
-            for (c2, d) in pairs:
-                if c2 == c and (a, d) not in pairs:
-                    difunctional = False
-                    break
-            if not difunctional:
-                break
-        if not difunctional:
-            break
+    """Symmetry, transitivity and difunctionality from the successor
+    sets, so the scans meet only pairs that share an element, not all of
+    R x R: R is transitive when the successors of b lie among those of a
+    for every (a, b) in R, and difunctional when all the elements with a
+    common successor have the same successors."""
+    pairs = R.pairs                      # sorted, so grouped by a
+    succ = {a: {b for _, b in group}
+            for a, group in groupby(pairs, itemgetter(0))}
+    some_pred = {b: a for a, b in pairs}
+    symmetric = all(a in succ.get(b, ()) for a, b in pairs)
+    transitive = all(succ.get(b, set()) <= succ[a] for a, b in pairs)
+    difunctional = all(succ[a] == succ[some_pred[b]] for a, b in pairs)
     return RelationProperties(symmetric, transitive, difunctional)
 
 
@@ -630,6 +639,7 @@ class VarietyKite:
     gamma: tuple[int, ...]
 
     def __post_init__(self):
+        checked = set()       # B is D in the search: f = alpha often
         for name, h, src, dst in (("f", self.f, self.A, self.B),
                                   ("r", self.r, self.B, self.A),
                                   ("s", self.s, self.B, self.C),
@@ -637,7 +647,11 @@ class VarietyKite:
                                   ("alpha", self.alpha, self.A, self.D),
                                   ("beta", self.beta, self.B, self.D),
                                   ("gamma", self.gamma, self.C, self.D)):
-            w = homomorphism_witness(src, dst, tuple(h))
+            leg = (tuple(h), id(src), id(dst))
+            if leg in checked:
+                continue
+            checked.add(leg)
+            w = homomorphism_witness(src, dst, leg[0])
             if w is not None:
                 raise NotAHomomorphism(f"{name} is not a homomorphism: {w}")
         if tuple(self.f[self.r[b]] for b in range(self.B.size)) != \
@@ -679,32 +693,55 @@ class VarietySolveResult:
     labels: tuple
 
 
+@dataclass(frozen=True)
+class _AdmissibilityFrame:
+    """What the admissibility count needs of a kite besides alpha and
+    gamma, so it serves every kite with the same A, C, D, f, g, r and s:
+    E = A x_B C with its labels, the cross e1 and e2, the size of D, and
+    per operation (E table, D table, argument tuples, watch lists)."""
+    labels: tuple
+    e1: list
+    e2: list
+    size_d: int
+    laws: list
+
+
+def _admissibility_frame(vk: VarietyKite) -> _AdmissibilityFrame:
+    E, labels = pullback_subalgebra(vk)
+    index = index_of(labels)
+    laws = []
+    for op in E.ops:    # nullary ops watch nothing: the pins imply them
+        args = list(product(range(E.size), repeat=op.arity))
+        watch = [[] for _ in range(E.size)]
+        for i, xs in enumerate(args):
+            for x in xs:
+                watch[x].append(i)
+        laws.append((op.table, vk.D.op_by_symbol(op.symbol).table, args,
+                     watch))
+    f, g, r, s = vk.f, vk.g, vk.r, vk.s
+    return _AdmissibilityFrame(
+        labels, [index[(a, s[f[a]])] for a in range(vk.A.size)],
+        [index[(r[g[c]], c)] for c in range(vk.C.size)], vk.D.size, laws)
+
+
 def admissibility_count_variety(vk: VarietyKite,
                                 cap: int = 1000) -> VarietySolveResult:
     """Count homomorphisms phi: A x_B C -> D with phi e1 = alpha and
     phi e2 = gamma, by backtracking with closure propagation through
     watch lists: assigning x re-checks only the argument tuples holding x.
     Branching on the least unassigned point meets solutions in order."""
-    E, labels = pullback_subalgebra(vk)
-    index = index_of(labels)
-    pins = cross_pins([index[(a, vk.s[vk.f[a]])] for a in range(vk.A.size)],
-                      vk.alpha,
-                      [index[(vk.r[vk.g[c]], c)] for c in range(vk.C.size)],
-                      vk.gamma)
+    return _pinned_count(_admissibility_frame(vk), vk.alpha, vk.gamma, cap)
+
+
+def _pinned_count(frame: _AdmissibilityFrame, alpha, gamma,
+                  cap: int) -> VarietySolveResult:
+    """admissibility_count_variety for the frame's kite with these alpha
+    and gamma: pin the cross, then propagate and branch."""
+    labels, laws, n = frame.labels, frame.laws, frame.size_d
+    pins = cross_pins(frame.e1, alpha, frame.e2, gamma)
     if pins is None:
         return VarietySolveResult(0, (), labels)
-
-    m, n = E.size, vk.D.size
-    laws = []            # (E table, D table, argument tuples, watch lists)
-    for op in E.ops:    # nullary ops watch nothing: the pins imply them
-        args = list(product(range(m), repeat=op.arity))
-        watch = [[] for _ in range(m)]
-        for i, xs in enumerate(args):
-            for x in xs:
-                watch[x].append(i)
-        laws.append((op.table, vk.D.op_by_symbol(op.symbol).table, args,
-                     watch))
-    value = [pins.get(i) for i in range(m)]
+    value = [pins.get(i) for i in range(len(labels))]
     trail: list[int] = []          # assigned elements, in order
 
     def propagate(queue: list[int]) -> bool:
@@ -761,33 +798,57 @@ def wm_witness_search(D: OpAlgebra, budget: int = 2000) -> Optional[VarietyKite]
     """Bounded search for a kite over D with two admissibility
     morphisms: B = D, A and C compatible reflexive relations on D with
     projection legs and diagonal sections.  Returns None when the
-    budget is exhausted without a find (inconclusive, never a WM claim)."""
+    family is exhausted or the budget runs out without a find
+    (inconclusive, never a WM claim)."""
+    return _witness_search(D, budget).kite
+
+
+@dataclass(frozen=True)
+class _WitnessSearch:
+    """A projection-family search: the kite found, or None; the kites
+    examined out of the family's `of`; and whether the budget left the
+    relation list and the family whole (a None with `complete` means
+    the family has no witness)."""
+    kite: Optional[VarietyKite]
+    examined: int
+    of: int
+    complete: bool
+
+
+def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
+    """Kites (ia, ic, fa, gc, aa, gg) in lexicographic order: A and C the
+    relations ia and ic, f, g, alpha and gamma the projections fa, gc,
+    aa and gg.  Every kite costs one unit of the budget.  A kite whose
+    mirror (ic, ia, gc, fa, gg, aa) came before it is skipped: swapping
+    A with C, f with g and alpha with gamma keeps the kite conditions,
+    and (a, c) -> (c, a) carries one's admissibility morphisms onto the
+    other's.  The four (aa, gg) of a leg pair share one frame."""
+    complete = True
     try:
         rels = reflexive_relations(D, budget=budget)
     except BudgetExceeded as exc:
         rels = exc.partial or ()
-    algebra_of = cache(lambda i: _relation_algebra(D, rels[i].pairs))
-    examined = 0
-    for ia in range(len(rels)):
-        for ic in range(len(rels)):
-            alg_a, labels_a = algebra_of(ia)
-            alg_c, labels_c = algebra_of(ic)
-            for fa in (0, 1):
-                for gc in (0, 1):
-                    for aa in (0, 1):
-                        for gg in (0, 1):
-                            examined += 1
-                            if examined > budget:
-                                return None
-                            kite = _projection_kite(D, alg_a, labels_a,
-                                                    alg_c, labels_c,
-                                                    fa, gc, aa, gg)
-                            if kite is None:
-                                continue
-                            res = admissibility_count_variety(kite, cap=2)
-                            if res.count >= 2:
-                                return kite
-    return None
+        complete = False
+    side = cache(lambda i: _relation_side(
+        D, *_relation_algebra(D, rels[i].pairs)))
+    family, examined = 16 * len(rels) ** 2, 0
+    for ia, ic, fa, gc in product(range(len(rels)), range(len(rels)),
+                                  (0, 1), (0, 1)):
+        frame = None
+        for aa, gg in product((0, 1), (0, 1)):
+            examined += 1
+            if examined > budget:
+                return _WitnessSearch(None, budget, family, False)
+            if (ic, ia, gc, fa, gg, aa) < (ia, ic, fa, gc, aa, gg):
+                continue          # its mirror came first, without a find
+            kite = _side_kite(D, side(ia), side(ic), fa, gc, aa, gg)
+            if kite is None:
+                continue
+            if frame is None:
+                frame = _admissibility_frame(kite)
+            if _pinned_count(frame, kite.alpha, kite.gamma, 2).count >= 2:
+                return _WitnessSearch(kite, examined, family, complete)
+    return _WitnessSearch(None, examined, family, complete)
 
 
 def _relation_algebra(D: OpAlgebra, pairs) -> tuple[OpAlgebra, tuple]:
@@ -795,19 +856,24 @@ def _relation_algebra(D: OpAlgebra, pairs) -> tuple[OpAlgebra, tuple]:
     return _product_subalgebra(D, D, labels), labels
 
 
+def _relation_side(D, alg, labels) -> tuple:
+    """(relation algebra, diagonal section, (first, second projection))."""
+    index = index_of(labels)
+    return (alg, tuple(index[(x, x)] for x in range(D.size)),
+            (tuple(a for a, _ in labels), tuple(c for _, c in labels)))
+
+
 def _projection_kite(D, alg_a, labels_a, alg_c, labels_c,
                      fa, gc, aa, gg) -> Optional[VarietyKite]:
-    index_a = index_of(labels_a)
-    index_c = index_of(labels_c)
-    diag_a = tuple(index_a[(x, x)] for x in range(D.size))
-    diag_c = tuple(index_c[(x, x)] for x in range(D.size))
-    f = tuple(lab[fa] for lab in labels_a)
-    g = tuple(lab[gc] for lab in labels_c)
-    alpha = tuple(lab[aa] for lab in labels_a)
-    gamma = tuple(lab[gg] for lab in labels_c)
-    beta = tuple(range(D.size))
+    return _side_kite(D, _relation_side(D, alg_a, labels_a),
+                      _relation_side(D, alg_c, labels_c), fa, gc, aa, gg)
+
+
+def _side_kite(D, side_a, side_c, fa, gc, aa, gg) -> Optional[VarietyKite]:
+    (alg_a, diag_a, proj_a), (alg_c, diag_c, proj_c) = side_a, side_c
     try:
-        return VarietyKite(alg_a, D, alg_c, D, f, diag_a, diag_c, g,
-                           alpha, beta, gamma)
+        return VarietyKite(alg_a, D, alg_c, D, proj_a[fa], diag_a, diag_c,
+                           proj_c[gc], proj_a[aa], tuple(range(D.size)),
+                           proj_c[gg])
     except (IllTyped, NotAHomomorphism):
         return None

@@ -234,11 +234,14 @@ def _cmd_classify(args) -> int:
     cls = alg.classify_wm_object(algebra)
     extra = {"criterion": cls.criterion}
     if not cls.report.ok and args.witness_kite:
-        kite = alg.wm_witness_search(algebra, budget=args.budget)
-        if kite is not None:
-            extra["witness_kite"] = schemas.dump_variety_kite(kite)
+        search = alg._witness_search(algebra, args.budget)
+        if search.kite is not None:
+            extra["witness_kite"] = schemas.dump_variety_kite(search.kite)
         else:
-            extra["witness_search"] = "budget exhausted, no kite found"
+            extra["witness_search"] = {"family": "projection",
+                                       "examined": search.examined,
+                                       "of": search.of,
+                                       "complete": search.complete}
     return _emit(args, cls.report, extra)
 
 

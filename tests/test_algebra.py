@@ -450,11 +450,11 @@ def small_algebras():
 
 
 @st.composite
-def commutative_magmas(draw):
+def commutative_magmas(draw, max_size=4):
     """Random commutative tables, and isotopes x * y = sigma(x + y) of
     Z_n and of (Z_2)^2, which are cancellative and, for n = 4, fail the
     hom law when sigma is not affine."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_size))
     if draw(st.booleans()):
         sigma = draw(st.permutations(range(n)))
         groups = [lambda x, y: (x + y) % n]
@@ -653,3 +653,173 @@ def test_relation_over_the_closure_cap_leaves_as_relations():
         reflexive_relations(A)
     assert info.value.partial == (BinaryRelation(A, relation_closure(A, ())),)
     assert wm_witness_search(A) is None
+
+
+def oracle_relation_properties(R):
+    pairs = set(R.pairs)
+    symmetric = all((b, a) in pairs for (a, b) in pairs)
+    transitive = all((a, c) in pairs
+                     for (a, b) in pairs for (b2, c) in pairs if b == b2)
+    difunctional = True
+    for (a, b) in pairs:
+        for (c, b2) in pairs:
+            if b2 != b:
+                continue
+            for (c2, d) in pairs:
+                if c2 == c and (a, d) not in pairs:
+                    difunctional = False
+                    break
+            if not difunctional:
+                break
+        if not difunctional:
+            break
+    return algebra.RelationProperties(symmetric, transitive, difunctional)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
+                                  st.integers(0, n - 1))))))
+@settings(max_examples=200)
+def test_relation_properties_match_pair_scans(case):
+    n, pairs = case
+    R = BinaryRelation(OpAlgebra(n, ()), tuple(pairs))
+    assert relation_properties(R) == oracle_relation_properties(R)
+
+
+def reference_wm_witness_search(D, budget=2000):
+    """The search without frames or mirror pruning: every kite of the
+    projection family is built, validated and counted on its own."""
+    try:
+        rels = reflexive_relations(D, budget=budget)
+    except BudgetExceeded as exc:
+        rels = exc.partial or ()
+    examined = 0
+    for ia in range(len(rels)):
+        for ic in range(len(rels)):
+            alg_a, labels_a = algebra._relation_algebra(D, rels[ia].pairs)
+            alg_c, labels_c = algebra._relation_algebra(D, rels[ic].pairs)
+            for fa, gc, aa, gg in product((0, 1), repeat=4):
+                examined += 1
+                if examined > budget:
+                    return None
+                kite = algebra._projection_kite(D, alg_a, labels_a, alg_c,
+                                                labels_c, fa, gc, aa, gg)
+                if kite is not None and \
+                   admissibility_count_variety(kite, cap=2).count >= 2:
+                    return kite
+    return None
+
+
+SEARCHED = [m3_lattice(), n5_lattice(), meet_semilattice2()] + \
+    [chain_lattice(n) for n in (1, 2, 3, 4)]
+
+
+@given(st.one_of(st.sampled_from(SEARCHED), small_algebras()),
+       st.integers(1, 64))
+@example(m3_lattice(), 64)
+@example(meet_semilattice2(), 64)
+@settings(max_examples=100)
+def test_wm_witness_search_matches_the_per_kite_search(D, budget):
+    assert wm_witness_search(D, budget) == \
+        reference_wm_witness_search(D, budget)
+
+
+@given(commutative_magmas(max_size=3), st.data())
+@settings(max_examples=100)
+def test_mirror_kites_agree_on_validity_and_count(D, data):
+    rels = reflexive_relations(D)
+    ia, ic = (data.draw(st.integers(0, len(rels) - 1)) for _ in range(2))
+    fa, gc, aa, gg = data.draw(st.tuples(*[st.integers(0, 1)] * 4))
+    rel_a = algebra._relation_algebra(D, rels[ia].pairs)
+    rel_c = algebra._relation_algebra(D, rels[ic].pairs)
+    kite = algebra._projection_kite(D, *rel_a, *rel_c, fa, gc, aa, gg)
+    mirror = algebra._projection_kite(D, *rel_c, *rel_a, gc, fa, gg, aa)
+    assert (kite is None) == (mirror is None)
+    if kite is not None:
+        assert admissibility_count_variety(kite).count == \
+            admissibility_count_variety(mirror).count
+
+
+def relation_side(D, rel):
+    return algebra._relation_side(
+        D, *algebra._relation_algebra(D, rel.pairs))
+
+
+LEGS = ("f", "r", "s", "g", "alpha", "beta", "gamma")
+
+
+@given(commutative_magmas(max_size=3), st.data())
+@settings(max_examples=150)
+def test_first_broken_leg_is_named(D, data):
+    """A projection kite with some legs replaced by arbitrary maps, and
+    possibly alpha = f and s = r as maps, names the first leg in LEGS
+    order that the apply-based oracle rejects."""
+    rels = reflexive_relations(D)
+    side_a = relation_side(D, data.draw(st.sampled_from(rels)))
+    side_c = side_a if data.draw(st.booleans()) else \
+        relation_side(D, data.draw(st.sampled_from(rels)))
+    (A, diag_a, proj_a), (C, diag_c, proj_c) = side_a, side_c
+    fa, gc, aa, gg = data.draw(st.tuples(*[st.integers(0, 1)] * 4))
+    legs = {"f": (proj_a[fa], A, D), "r": (diag_a, D, A),
+            "s": (diag_c, D, C), "g": (proj_c[gc], C, D),
+            "alpha": (proj_a[aa], A, D), "beta": (tuple(range(D.size)), D, D),
+            "gamma": (proj_c[gg], C, D)}
+    for name in sorted(data.draw(st.sets(st.sampled_from(LEGS)))):
+        _, src, dst = legs[name]
+        legs[name] = (tuple(data.draw(st.lists(
+            st.integers(0, dst.size - 1), min_size=src.size,
+            max_size=src.size))), src, dst)
+    if data.draw(st.booleans()):
+        legs["alpha"] = legs["f"]
+    r = legs["r"][0]
+    if max(r, default=-1) < C.size and data.draw(st.booleans()):
+        legs["s"] = (r, D, C)       # the same map, into C
+    want = next((f"{name} is not a homomorphism: {w}" for name in LEGS
+                 for w in [oracle_homomorphism_witness(
+                     legs[name][1], legs[name][2], legs[name][0])]
+                 if w is not None), None)
+    try:
+        VarietyKite(A, D, C, D, *(legs[name][0] for name in LEGS))
+        got = None
+    except NotAHomomorphism as exc:
+        got = str(exc)
+    except IllTyped:
+        got = None
+    assert got == want
+
+
+def test_a_map_checked_on_one_algebra_is_checked_again_on_another():
+    # r and s are one map D -> A and D -> C: a homomorphism onto the
+    # diagonal A, but not into the total relation C
+    D = OpAlgebra(2, (Operation("*", 2, (1, 0, 0, 0)),), "cmag")
+    rels = reflexive_relations(D)
+    (A, diag_a, proj_a), (C, _, proj_c) = (relation_side(D, rels[0]),
+                                           relation_side(D, rels[-1]))
+    with pytest.raises(NotAHomomorphism, match="^s is not"):
+        VarietyKite(A, D, C, D, proj_a[0], diag_a, diag_a, proj_c[0],
+                    proj_a[0], (0, 1), proj_c[0])
+    # f and g are one map A -> D and C -> D, a homomorphism only from A
+    D = OpAlgebra(3, (Operation("*", 2, (0, 0, 0, 0, 1, 1, 0, 1, 2)),),
+                  "cmag")
+    rels = reflexive_relations(D)
+    (A, diag_a, proj_a), (C, diag_c, proj_c) = (relation_side(D, rels[5]),
+                                                relation_side(D, rels[6]))
+    with pytest.raises(NotAHomomorphism, match="^g is not"):
+        VarietyKite(A, D, C, D, proj_a[1], diag_a, diag_c, proj_a[1],
+                    proj_a[1], (0, 1, 2), proj_c[1])
+
+
+def test_witness_search_tells_exhausted_from_budget_out():
+    meet = algebra._witness_search(meet_semilattice2(), 2000)
+    assert meet.kite == reference_wm_witness_search(meet_semilattice2())
+    chain = algebra._witness_search(chain_lattice(2), 2000)
+    assert (chain.kite, chain.examined, chain.of, chain.complete) == \
+        (None, 256, 256, True)
+    cut = algebra._witness_search(chain_lattice(2), 100)
+    assert (cut.kite, cut.examined, cut.of, cut.complete) == \
+        (None, 100, 256, False)
+    # the closure cap cuts Z_23's relations short at the diagonal: all 16
+    # kites over it are examined, but the family is not complete
+    z23 = algebra._witness_search(cyclic_magma(23), 2000)
+    assert (z23.kite, z23.examined, z23.of, z23.complete) == \
+        (None, 16, 16, False)

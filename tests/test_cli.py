@@ -139,6 +139,11 @@ def test_classify_commands(capsys, tmp_path):
     m3 = write(tmp_path, "m3.json", dump_algebra(m3_lattice()))
     code, out = run(capsys, "classify", m3)
     assert code == 1
+    # the whole projection family of M3 holds no witness kite
+    code, out = run(capsys, "classify", m3, "--witness-kite")
+    assert code == 1 and "witness_kite" not in out
+    assert out["witness_search"] == {"family": "projection", "examined": 256,
+                                     "of": 256, "complete": True}
 
 
 def test_maltsev_op(capsys, tmp_path):
