@@ -90,18 +90,20 @@ def _table_length_error(size: int, arity: int, length: int) -> Optional[str]:
     return None
 
 
-def _coordinatewise(op_a: Operation, size_a: int, op_c: Operation,
-                    size_c: int, factors) -> Iterator[tuple[int, int]]:
+def _coded_images(op_a: Operation, size_a: int, op_c: Operation, size_c: int,
+                  factors) -> Iterator[int]:
     """(op_a(xs), op_c(ys)) for every argument tuple of pairs (x_i, y_i)
-    drawn from factors[i], in lexicographic order of the tuples.  Only
-    the index prefixes of the first k - 1 factors are held in memory."""
+    drawn from factors[i], in lexicographic order of the tuples, each
+    image coded as op_a(xs) * size_c + op_c(ys), so that codes sort as
+    the pairs do.  Only the index prefixes of the first k - 1 factors
+    are held in memory; the images are generated one at a time."""
     ta, tc = op_a.table, op_c.table
     idx = [(0, 0)]
     for pairs in factors[:-1]:
         idx = [((i + x) * size_a, (j + y) * size_c)
                for i, j in idx for x, y in pairs]
     last = factors[-1] if factors else [(0, 0)]   # arity 0: the one entry
-    return ((ta[i + x], tc[j + y]) for i, j in idx for x, y in last)
+    return (ta[i + x] * size_c + tc[j + y] for i, j in idx for x, y in last)
 
 
 def _first_difference(lhs, rhs, size: int, arity: int) -> Optional[list]:
@@ -342,13 +344,14 @@ def maltsev_table(A: OpAlgebra) -> MaltsevTable:
             if p(b, b, a) != a:
                 unit = fails("maltsev-unit-laws", {"law": "p(b,b,c)=c",
                                                    "pair": [b, a]})
-    # p(a,b,c) * p(a2,b2,c2) = p(a*a2, b*b2, c*c2), all (a2, b2, c2) at once
+    # p(a,b,c) * p(a2,b2,c2) = p(a*a2, b*b2, c*c2), all (a2, b2, c2) at
+    # once; the left side depends only on u = p(a,b,c)
     hom = holds("maltsev-hom-law")
+    lhs_of = [[row[v] for v in table] for row in rows]
     for u, (a, b, c) in zip(table, product(range(n), repeat=3)):
-        lhs = [rows[u][v] for v in table]
         rhs = [table[(x * n + y) * n + z]
                for x in rows[a] for y in rows[b] for z in rows[c]]
-        w = _first_difference(lhs, rhs, n, 3)
+        w = _first_difference(lhs_of[u], rhs, n, 3)
         if w is not None:
             hom = fails("maltsev-hom-law", {"tuple": [a, b, c] + w})
             break
@@ -524,28 +527,43 @@ def relation_closure(A: OpAlgebra, seed: Iterable[tuple[int, int]],
                      cap: int = SUBALGEBRA_CAP) -> tuple[tuple[int, int], ...]:
     """Close the diagonal plus a seed set under all operations applied
     coordinatewise."""
-    return _close(A, (), {(x, x) for x in range(A.size)} | set(seed), cap)
+    n = A.size
+    seed = set(seed)
+    if not all(0 <= x < n and 0 <= y < n for x, y in seed):
+        raise IllTyped(f"seed pairs must lie in 0..{n - 1}")
+    return _pairs(_close(A, (), {x * n + x for x in range(n)}
+                         | {x * n + y for x, y in seed}, cap), n)
 
 
-def _close(A: OpAlgebra, closed, new, cap: int) -> tuple[tuple[int, int], ...]:
-    """The closure of closed | new, `closed` being closed.  Semi-naive: a
-    round applies the operations only to argument tuples with a pair new
-    in the round before.  It adds the same pairs as a naive round over all
-    pairs, so the cap is met at the same round with the same partial."""
+def _pairs(codes, n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (x, y) coded as x * n + y."""
+    return tuple([divmod(v, n) for v in codes])
+
+
+def _close(A: OpAlgebra, closed, new, cap: int) -> tuple[int, ...]:
+    """The closure of closed | new, `closed` being closed, with a pair
+    (x, y) coded as x * |A| + y, here and in the sorted result.
+    Semi-naive: a round applies the operations only to argument tuples
+    with a pair new in the round before.  It adds the same pairs as a
+    naive round over all pairs, so the cap is met at the same round with
+    the same partial, which is given as pairs."""
     n = A.size
     old, delta = set(closed), set(new).difference(closed)
+    old_pairs = _pairs(old, n)
     while True:
         current = old | delta
-        found = set()
+        delta_pairs = _pairs(delta, n)
+        current_pairs = old_pairs + delta_pairs
+        found: set[int] = set()
         for op in A.ops:
             for i in range(op.arity):
-                tail = (current,) * (op.arity - i - 1)
-                found.update(_coordinatewise(op, n, op, n,
-                                             (old,) * i + (delta,) + tail))
-        old, delta = current, found - current
+                found.update(_coded_images(op, n, op, n, (old_pairs,) * i
+                                           + (delta_pairs,) + (current_pairs,)
+                                           * (op.arity - i - 1)))
+        old, delta, old_pairs = current, found - current, current_pairs
         if len(old) + len(delta) > cap:
             raise BudgetExceeded("relation closure exceeded the element cap",
-                                 partial=tuple(sorted(old | delta)))
+                                 partial=_pairs(sorted(old | delta), n))
         if not delta:
             return tuple(sorted(old))
 
@@ -559,16 +577,20 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
     of the diagonal it is P(q) itself.  Every candidate q still counts
     one unit of the budget.  Raises BudgetExceeded, with the relations
     found so far as its partial, when more than `budget` candidates
-    would be needed or a closure grows past SUBALGEBRA_CAP pairs."""
+    would be needed or a closure grows past SUBALGEBRA_CAP pairs; a
+    negative budget is IllTyped.  Relations are held as sorted codes
+    x * |A| + y, as `_close` gives them."""
+    if budget < 0:
+        raise IllTyped(f"budget must be >= 0, got {budget}")
+    n = A.size
     found: dict[tuple, BinaryRelation] = {}
     try:
-        base = relation_closure(A, ())
+        base = tuple(x * n + y for x, y in relation_closure(A, ()))
         frontier = [base]
-        found[base] = BinaryRelation(A, base)
-        principal: dict[tuple, tuple] = {}    # q -> P(q)
+        found[base] = BinaryRelation(A, _pairs(base, n))
+        principal: dict[int, tuple] = {}    # q -> P(q)
         closures = 1
-        all_pairs = [(x, y) for x in range(A.size) for y in range(A.size)
-                     if x != y]
+        all_pairs = [x * n + y for x in range(n) for y in range(n) if x != y]
         while frontier:
             rel = frontier.pop()
             have = set(rel)
@@ -589,7 +611,7 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
                 bigger = p if rel is base else \
                     _close(A, have, p, SUBALGEBRA_CAP)
                 if bigger not in found:
-                    found[bigger] = BinaryRelation(A, bigger)
+                    found[bigger] = BinaryRelation(A, _pairs(bigger, n))
                     frontier.append(bigger)
     except BudgetExceeded as exc:
         # A closure's own partial is a tuple of pairs; callers read this
@@ -639,51 +661,63 @@ class VarietyKite:
     gamma: tuple[int, ...]
 
     def __post_init__(self):
-        checked = set()       # B is D in the search: f = alpha often
-        for name, h, src, dst in (("f", self.f, self.A, self.B),
-                                  ("r", self.r, self.B, self.A),
-                                  ("s", self.s, self.B, self.C),
-                                  ("g", self.g, self.C, self.B),
-                                  ("alpha", self.alpha, self.A, self.D),
-                                  ("beta", self.beta, self.B, self.D),
-                                  ("gamma", self.gamma, self.C, self.D)):
-            leg = (tuple(h), id(src), id(dst))
-            if leg in checked:
-                continue
-            checked.add(leg)
-            w = homomorphism_witness(src, dst, leg[0])
-            if w is not None:
-                raise NotAHomomorphism(f"{name} is not a homomorphism: {w}")
-        if tuple(self.f[self.r[b]] for b in range(self.B.size)) != \
-           tuple(range(self.B.size)):
-            raise IllTyped("f r != 1_B")
-        if tuple(self.g[self.s[b]] for b in range(self.B.size)) != \
-           tuple(range(self.B.size)):
-            raise IllTyped("g s != 1_B")
-        if tuple(self.alpha[self.r[b]] for b in range(self.B.size)) != \
-           tuple(self.beta) or \
-           tuple(self.gamma[self.s[b]] for b in range(self.B.size)) != \
-           tuple(self.beta):
-            raise IllTyped("alpha r = beta = gamma s fails")
+        fault = _kite_fault(self.A, self.B, self.C, self.D,
+                            (self.f, self.r, self.s, self.g, self.alpha,
+                             self.beta, self.gamma), {})
+        if fault is not None:
+            raise fault
+
+
+_LEG_NAMES = ("f", "r", "s", "g", "alpha", "beta", "gamma")
+
+
+def _kite_fault(A, B, C, D, legs, outcomes: dict) -> Optional[Exception]:
+    """What a kite with these legs (f, r, s, g, alpha, beta, gamma) is
+    rejected for, or None: the first leg that is not a homomorphism, else
+    the first kite equation that fails.  `outcomes` holds each leg's
+    homomorphism_witness by (leg, id(source), id(target)), so a leg met
+    again, passed or failed, is not checked again."""
+    for name, h, src, dst in zip(_LEG_NAMES, legs, (A, B, B, C, A, B, C),
+                                 (B, A, C, B, D, D, D)):
+        key = (tuple(h), id(src), id(dst))
+        if key not in outcomes:
+            outcomes[key] = homomorphism_witness(src, dst, key[0])
+        if outcomes[key] is not None:
+            return NotAHomomorphism(f"{name} is not a homomorphism: "
+                                    f"{outcomes[key]}")
+    f, r, s, g, alpha, beta, gamma = legs
+    ident = list(range(B.size))
+    if [f[x] for x in r] != ident:
+        return IllTyped("f r != 1_B")
+    if [g[x] for x in s] != ident:
+        return IllTyped("g s != 1_B")
+    if [alpha[x] for x in r] != list(beta) or \
+       [gamma[x] for x in s] != list(beta):
+        return IllTyped("alpha r = beta = gamma s fails")
+    return None
 
 
 def _product_subalgebra(A: OpAlgebra, C: OpAlgebra, labels) -> OpAlgebra:
     """The subalgebra of A x C on the given pairs, which must be closed
     under the operations, applied coordinatewise."""
-    index = index_of(labels)
+    index = index_of(a * C.size + c for a, c in labels)
     ops = tuple(Operation(op_a.symbol, op_a.arity, tuple(map(
-        index.__getitem__, _coordinatewise(op_a, A.size, op_c, C.size,
-                                           (labels,) * op_a.arity))))
+        index.__getitem__, _coded_images(op_a, A.size, op_c, C.size,
+                                         (labels,) * op_a.arity))))
         for op_a, op_c in zip(A.ops, C.ops))
     return OpAlgebra(len(labels), ops, "custom")
 
 
 def pullback_subalgebra(vk: VarietyKite) -> tuple[OpAlgebra, tuple]:
     """The subalgebra of A x C on pairs (a, c) with f(a) = g(c)."""
-    over = fibres(vk.g)
-    labels = tuple((a, c) for a in range(vk.A.size)
-                   for c in over.get(vk.f[a], ()))
-    return _product_subalgebra(vk.A, vk.C, labels), labels
+    return _pullback(vk.A, vk.C, vk.f, vk.g)
+
+
+def _pullback(A: OpAlgebra, C: OpAlgebra, f, g) -> tuple[OpAlgebra, tuple]:
+    over = fibres(g)
+    labels = tuple((a, c) for a in range(A.size)
+                   for c in over.get(f[a], ()))
+    return _product_subalgebra(A, C, labels), labels
 
 
 @dataclass(frozen=True)
@@ -706,22 +740,28 @@ class _AdmissibilityFrame:
     laws: list
 
 
-def _admissibility_frame(vk: VarietyKite) -> _AdmissibilityFrame:
-    E, labels = pullback_subalgebra(vk)
+def _admissibility_frame(A: OpAlgebra, C: OpAlgebra, D: OpAlgebra, f, g, r,
+                         s, shapes: dict) -> _AdmissibilityFrame:
+    """The frame of the kites over A, C and D with these f, g, r and s.
+    The argument tuples and watch lists depend only on (|E|, arity), so
+    they are taken from `shapes` when there and stored there when not;
+    nothing changes them once built."""
+    E, labels = _pullback(A, C, f, g)
     index = index_of(labels)
     laws = []
     for op in E.ops:    # nullary ops watch nothing: the pins imply them
-        args = list(product(range(E.size), repeat=op.arity))
-        watch = [[] for _ in range(E.size)]
-        for i, xs in enumerate(args):
-            for x in xs:
-                watch[x].append(i)
-        laws.append((op.table, vk.D.op_by_symbol(op.symbol).table, args,
-                     watch))
-    f, g, r, s = vk.f, vk.g, vk.r, vk.s
+        shape = shapes.get((E.size, op.arity))
+        if shape is None:
+            args = list(product(range(E.size), repeat=op.arity))
+            watch = [[] for _ in range(E.size)]
+            for i, xs in enumerate(args):
+                for x in xs:
+                    watch[x].append(i)
+            shape = shapes[E.size, op.arity] = (args, watch)
+        laws.append((op.table, D.op_by_symbol(op.symbol).table) + shape)
     return _AdmissibilityFrame(
-        labels, [index[(a, s[f[a]])] for a in range(vk.A.size)],
-        [index[(r[g[c]], c)] for c in range(vk.C.size)], vk.D.size, laws)
+        labels, [index[(a, s[f[a]])] for a in range(A.size)],
+        [index[(r[g[c]], c)] for c in range(C.size)], D.size, laws)
 
 
 def admissibility_count_variety(vk: VarietyKite,
@@ -730,7 +770,9 @@ def admissibility_count_variety(vk: VarietyKite,
     phi e2 = gamma, by backtracking with closure propagation through
     watch lists: assigning x re-checks only the argument tuples holding x.
     Branching on the least unassigned point meets solutions in order."""
-    return _pinned_count(_admissibility_frame(vk), vk.alpha, vk.gamma, cap)
+    frame = _admissibility_frame(vk.A, vk.C, vk.D, vk.f, vk.g, vk.r, vk.s,
+                                 {})
+    return _pinned_count(frame, vk.alpha, vk.gamma, cap)
 
 
 def _pinned_count(frame: _AdmissibilityFrame, alpha, gamma,
@@ -799,7 +841,7 @@ def wm_witness_search(D: OpAlgebra, budget: int = 2000) -> Optional[VarietyKite]
     morphisms: B = D, A and C compatible reflexive relations on D with
     projection legs and diagonal sections.  Returns None when the
     family is exhausted or the budget runs out without a find
-    (inconclusive, never a WM claim)."""
+    (inconclusive, never a WM claim).  A negative budget is IllTyped."""
     return _witness_search(D, budget).kite
 
 
@@ -822,7 +864,13 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
     mirror (ic, ia, gc, fa, gg, aa) came before it is skipped: swapping
     A with C, f with g and alpha with gamma keeps the kite conditions,
     and (a, c) -> (c, a) carries one's admissibility morphisms onto the
-    other's.  The four (aa, gg) of a leg pair share one frame."""
+    other's.  The four (aa, gg) of a leg pair share one frame.  Each
+    candidate's kite equations are checked; each distinct leg (a
+    projection or diagonal of one relation, or the identity of D) is
+    checked once per search, so at most 3r + 1 homomorphism checks for
+    r relations, and the kite returned is validated by VarietyKite."""
+    if budget < 0:
+        raise IllTyped(f"budget must be >= 0, got {budget}")
     complete = True
     try:
         rels = reflexive_relations(D, budget=budget)
@@ -831,6 +879,9 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
         complete = False
     side = cache(lambda i: _relation_side(
         D, *_relation_algebra(D, rels[i].pairs)))
+    ident = tuple(range(D.size))
+    outcomes: dict = {}       # leg -> homomorphism_witness, for the search
+    shapes: dict = {}         # (|E|, arity) -> argument tuples, watch lists
     family, examined = 16 * len(rels) ** 2, 0
     for ia, ic, fa, gc in product(range(len(rels)), range(len(rels)),
                                   (0, 1), (0, 1)):
@@ -841,13 +892,17 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
                 return _WitnessSearch(None, budget, family, False)
             if (ic, ia, gc, fa, gg, aa) < (ia, ic, fa, gc, aa, gg):
                 continue          # its mirror came first, without a find
-            kite = _side_kite(D, side(ia), side(ic), fa, gc, aa, gg)
-            if kite is None:
+            (A, diag_a, proj_a), (C, diag_c, proj_c) = side(ia), side(ic)
+            legs = (proj_a[fa], diag_a, diag_c, proj_c[gc], proj_a[aa],
+                    ident, proj_c[gg])
+            if _kite_fault(A, D, C, D, legs, outcomes) is not None:
                 continue
             if frame is None:
-                frame = _admissibility_frame(kite)
-            if _pinned_count(frame, kite.alpha, kite.gamma, 2).count >= 2:
-                return _WitnessSearch(kite, examined, family, complete)
+                frame = _admissibility_frame(A, C, D, legs[0], legs[3],
+                                             diag_a, diag_c, shapes)
+            if _pinned_count(frame, legs[4], legs[6], 2).count >= 2:
+                return _WitnessSearch(VarietyKite(A, D, C, D, *legs),
+                                      examined, family, complete)
     return _WitnessSearch(None, examined, family, complete)
 
 
@@ -865,12 +920,8 @@ def _relation_side(D, alg, labels) -> tuple:
 
 def _projection_kite(D, alg_a, labels_a, alg_c, labels_c,
                      fa, gc, aa, gg) -> Optional[VarietyKite]:
-    return _side_kite(D, _relation_side(D, alg_a, labels_a),
-                      _relation_side(D, alg_c, labels_c), fa, gc, aa, gg)
-
-
-def _side_kite(D, side_a, side_c, fa, gc, aa, gg) -> Optional[VarietyKite]:
-    (alg_a, diag_a, proj_a), (alg_c, diag_c, proj_c) = side_a, side_c
+    (_, diag_a, proj_a), (_, diag_c, proj_c) = (
+        _relation_side(D, alg_a, labels_a), _relation_side(D, alg_c, labels_c))
     try:
         return VarietyKite(alg_a, D, alg_c, D, proj_a[fa], diag_a, diag_c,
                            proj_c[gc], proj_a[aa], tuple(range(D.size)),

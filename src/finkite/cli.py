@@ -284,6 +284,8 @@ def _cmd_relations(args) -> int:
 def _cmd_equiv23(args) -> int:
     from itertools import product as iproduct
     n = args.size
+    if n < 0:
+        raise IllTyped(f"size must be >= 0, got {n}")
     if n > 3:
         return _emit(args, inconclusive("equiv23",
                                         [f"size {n} sweep not supported; "

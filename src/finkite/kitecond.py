@@ -334,8 +334,11 @@ def wm_object_check_finset(n: int) -> WmCheck:
     """Whether the n-element set is a weakly Mal'tsev object in finite
     sets: yes exactly for n <= 1.  For n >= 2 the returned witness kite
     (B a point, A = C = D = n, alpha = gamma = identity) is re-verified
-    to carry at least two admissibility morphisms."""
+    to carry at least two admissibility morphisms.  A negative n is
+    IllTyped."""
     cmd = "wm-object"
+    if n < 0:
+        raise IllTyped(f"size must be >= 0, got {n}")
     if n <= 1:
         return WmCheck(holds(cmd, [f"size {n}: every kite admits at most "
                                    "one admissibility morphism"]), None, ())

@@ -823,3 +823,97 @@ def test_witness_search_tells_exhausted_from_budget_out():
     z23 = algebra._witness_search(cyclic_magma(23), 2000)
     assert (z23.kite, z23.examined, z23.of, z23.complete) == \
         (None, 16, 16, False)
+
+
+def counted_legs(monkeypatch, fail=None):
+    """Record every homomorphism_witness call as (leg, id(source),
+    id(target)); a call on the leg `fail` reports a made-up failure."""
+    calls = []
+    check = algebra.homomorphism_witness
+
+    def counting(src, dst, h):
+        calls.append((tuple(h), id(src), id(dst)))
+        if calls[-1] == fail:
+            return {"reason": "forced"}
+        return check(src, dst, h)
+
+    monkeypatch.setattr(algebra, "homomorphism_witness", counting)
+    return calls
+
+
+@pytest.mark.parametrize("D", [chain_lattice(3), n5_lattice()],
+                         ids=["chain3", "n5"])
+def test_witness_search_checks_each_leg_once(monkeypatch, D):
+    rels = reflexive_relations(D, budget=2000)
+    calls = counted_legs(monkeypatch)
+    assert wm_witness_search(D) is None
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= 3 * len(rels) + 1
+
+
+def test_a_failed_leg_is_rejected_every_time_it_recurs(monkeypatch):
+    # beta, the identity of D, is in every kite of the search: once it is
+    # made to fail, no kite may pass, though meet2 has a witness
+    D = meet_semilattice2()
+    assert wm_witness_search(D) is not None
+    beta = ((0, 1), id(D), id(D))
+    calls = counted_legs(monkeypatch, fail=beta)
+    search = algebra._witness_search(D, 2000)
+    assert (search.kite, search.examined, search.complete) == \
+        (None, search.of, True)
+    assert calls.count(beta) == 1
+    # the same through the shared checker: the cached failure is returned
+    rel = relation_side(D, reflexive_relations(D)[0])
+    A, diag, proj = rel
+    legs = (proj[0], diag, diag, proj[0], proj[0], (0, 1), proj[0])
+    outcomes = {}
+    for _ in range(3):
+        fault = algebra._kite_fault(A, D, A, D, legs, outcomes)
+        assert isinstance(fault, NotAHomomorphism)
+        assert str(fault) == "beta is not a homomorphism: " \
+            "{'reason': 'forced'}"
+    assert calls.count(beta) == 2
+
+
+def tiny_algebras():
+    """Carriers of size 0 and 1, with a nullary and a ternary operation
+    (size 0 has no nullary operation: its one entry has no value)."""
+    yield OpAlgebra(0, (Operation("t", 3, ()),))
+    yield OpAlgebra(0, ())
+    yield OpAlgebra(1, (Operation("c", 0, (0,)), Operation("t", 3, (0,))))
+    yield OpAlgebra(1, (Operation("c", 0, (0,)),))
+    yield OpAlgebra(1, ())
+
+
+@pytest.mark.parametrize("A", list(tiny_algebras()),
+                         ids=lambda A: f"size{A.size}-" + "".join(
+                             f"{s}{k}" for s, k in A.signature))
+def test_closure_kernel_on_empty_and_one_point_carriers(A):
+    seeds = [[], [(0, 0)]] if A.size else [[]]
+    for seed, cap in product(seeds, range(4)):
+        assert outcome(relation_closure, A, seed, cap) == \
+            outcome(naive_closure, A, seed, cap)
+    for budget in range(4):
+        assert outcome(reflexive_relations, A, budget) == \
+            outcome(naive_reflexive_relations, A, budget)
+    alg, labels = algebra._relation_algebra(A, relation_closure(A, ()))
+    assert alg == oracle_product_subalgebra(A, A, labels)
+
+
+def test_negative_budgets_are_ill_typed_and_zero_is_valid():
+    D = meet_semilattice2()
+    for call in (reflexive_relations, algebra._witness_search,
+                 wm_witness_search):
+        with pytest.raises(IllTyped, match="budget must be >= 0, got -1"):
+            call(D, -1)
+    with pytest.raises(BudgetExceeded):
+        reflexive_relations(D, 0)
+    search = algebra._witness_search(D, 0)
+    assert (search.kite, search.examined, search.complete) == (None, 0, False)
+
+
+def test_relation_closure_rejects_seed_pairs_off_the_carrier():
+    # a pair is coded x * n + y, so (0, 3) on Z_3 would alias (1, 0)
+    for seed in ([(0, 3)], [(-1, 0)], [(3, 0)]):
+        with pytest.raises(IllTyped, match="seed pairs must lie in 0..2"):
+            relation_closure(cyclic_magma(3), seed)

@@ -335,3 +335,35 @@ def test_shared_parser_keeps_no_state_between_calls():
     assert first is not second
     assert (first.file, first.swapped) == ("a.json", True)
     assert (second.file, second.swapped) == ("b.json", False)
+
+
+def one_json_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    return code, json.loads(lines[0])
+
+
+def test_negative_sizes_exit_2_with_one_json_line(capsys):
+    code, err = one_json_error(capsys, ["wm-object", "--size", "-3"])
+    assert code == 2 and err == {"error": "size must be >= 0, got -3",
+                                 "exit": 2}
+    code, err = one_json_error(capsys, ["equiv23", "--size", "-1"])
+    assert code == 2 and err == {"error": "size must be >= 0, got -1",
+                                 "exit": 2}
+    code, out = run(capsys, "wm-object", "--size", "0")
+    assert code == 0 and out["verdict"] == "holds"
+
+
+def test_negative_budgets_exit_2_with_one_json_line(capsys, tmp_path):
+    meet = write(tmp_path, "meet.json", dump_algebra(meet_semilattice2()))
+    for argv in (["classify", meet, "--witness-kite", "--budget", "-1"],
+                 ["relations", meet, "--reflexive", "--budget", "-1"]):
+        code, err = one_json_error(capsys, argv)
+        assert code == 2 and err["error"] == "budget must be >= 0, got -1"
+    code, out = run(capsys, "classify", meet, "--witness-kite", "--budget",
+                    "0")
+    assert code == 1 and out["witness_search"]["examined"] == 0
+    code, out = run(capsys, "relations", meet, "--reflexive", "--budget", "0")
+    assert code == 3 and out["verdict"] == "inconclusive"

@@ -257,6 +257,12 @@ def test_wm_object_check():
         assert chk.solutions[0].table != chk.solutions[1].table
 
 
+def test_wm_object_check_rejects_negative_sizes():
+    for n in (-1, -3):
+        with pytest.raises(IllTyped, match=f"size must be >= 0, got {n}"):
+            wm_object_check_finset(n)
+
+
 def test_wm_witness_count_is_exact():
     chk = wm_object_check_finset(2)
     assert admissibility_count(chk.witness).count == 2
