@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby, product
+from itertools import combinations, groupby, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -48,14 +48,20 @@ class OpAlgebra:
             raise IllTyped("algebra size must be >= 0")
         if self.variety not in VARIETIES:
             raise UnsupportedVariety(f"unknown variety tag {self.variety!r}")
+        size = self.size
         for op in self.ops:
-            mismatch = _table_length_error(self.size, op.arity, len(op.table))
+            mismatch = _table_length_error(size, op.arity, len(op.table))
             if mismatch is not None:
                 raise IllTyped(f"operation {op.symbol}: table {mismatch}")
-            for i, v in enumerate(op.table):
-                if not (0 <= v < self.size):
-                    raise IllTyped(f"operation {op.symbol}: entry {v} at "
-                                   f"flat index {i} out of range")
+            # One tight pass accepts; only a rejected table is scanned
+            # again to name its first bad entry.
+            for v in op.table:
+                if not 0 <= v < size:
+                    i = next(i for i, u in enumerate(op.table)
+                             if not 0 <= u < size)
+                    raise IllTyped(f"operation {op.symbol}: entry "
+                                   f"{op.table[i]} at flat index {i} "
+                                   "out of range")
         _validate_variety_axioms(self)
 
     def apply(self, op: Operation, *args: int) -> int:
@@ -121,40 +127,59 @@ def binary_op(A: OpAlgebra) -> Operation:
     return ops[0]
 
 
+def _rows(table, n: int) -> list:
+    """The rows x * - of a flat binary table on n elements."""
+    return [table[x * n:(x + 1) * n] for x in range(n)]
+
+
 def _is_commutative(A: OpAlgebra, op: Operation) -> Optional[tuple[int, int]]:
-    for x in range(A.size):
-        for y in range(x + 1, A.size):
-            if A.apply(op, x, y) != A.apply(op, y, x):
-                return (x, y)
+    """The first (x, y) with x y != y x, which has x < y: row x and column
+    x can first differ only above the diagonal once the rows before x
+    agree with their columns."""
+    n, t = A.size, op.table
+    for x in range(n):
+        row, col = t[x * n:(x + 1) * n], t[x::n]
+        if row != col:
+            return (x, next(y for y in range(x + 1, n) if row[y] != col[y]))
     return None
 
 
 def _is_associative(A: OpAlgebra, op: Operation) -> Optional[tuple[int, int, int]]:
-    for x in range(A.size):
-        for y in range(A.size):
-            for z in range(A.size):
-                if A.apply(op, A.apply(op, x, y), z) != \
-                   A.apply(op, x, A.apply(op, y, z)):
-                    return (x, y, z)
-    return None
+    """The first (x, y, z) with (x y) z != x (y z): the rows of the x y
+    laid end to end, against each row x read through the whole table."""
+    n, t = A.size, op.table
+    rows = _rows(t, n)
+    lhs = [v for u in t for v in rows[u]]
+    rhs = [v for row in rows for v in map(row.__getitem__, t)]
+    w = _first_difference(lhs, rhs, n, 3)
+    return None if w is None else tuple(w)
 
 
 def _unit_of(A: OpAlgebra, op: Operation) -> Optional[int]:
-    for e in range(A.size):
-        if all(A.apply(op, e, x) == x == A.apply(op, x, e)
-               for x in range(A.size)):
+    n, t = A.size, op.table
+    ident = tuple(range(n))
+    for e in range(n):
+        if t[e * n:(e + 1) * n] == ident == t[e::n]:
             return e
     return None
+
+
+def _inverses(A: OpAlgebra, op: Operation, e) -> list[list[int]]:
+    """For each x, the y with x y = e = y x, in ascending order."""
+    n, t = A.size, op.table
+    return [[y for y, (u, w) in enumerate(zip(t[x * n:(x + 1) * n], t[x::n]))
+             if u == e == w] for x in range(n)]
 
 
 def _validate_variety_axioms(A: OpAlgebra) -> None:
     v = A.variety
     if v == "custom":
         return
+    binary = A.ops_of_arity(2)
     if v in ("magma", "cmag", "ccm_magma"):
-        if not A.ops_of_arity(2):
+        if not binary:
             raise MissingOperation(f"variety {v} needs a binary operation")
-        op = binary_op(A)
+        op = binary[0]
         if v in ("cmag", "ccm_magma") and _is_commutative(A, op) is not None:
             raise IllTyped(f"variety {v}: operation is not commutative")
         if v == "ccm_magma":
@@ -163,61 +188,62 @@ def _validate_variety_axioms(A: OpAlgebra) -> None:
             if _cancellation_witness(A, op) is not None:
                 raise IllTyped("variety ccm_magma: operation is not cancellative")
     elif v == "dimagma":
-        if len(A.ops_of_arity(2)) < 2:
+        if len(binary) < 2:
             raise MissingOperation("variety dimagma needs two binary operations")
-        for op in A.ops_of_arity(2)[:2]:
+        for op in binary[:2]:
             if _is_commutative(A, op) is not None:
                 raise IllTyped("variety dimagma: operations must be commutative")
     elif v == "unary_monoid":
-        if not (A.ops_of_arity(2) and A.ops_of_arity(1) and A.ops_of_arity(0)):
+        unary, nullary = A.ops_of_arity(1), A.ops_of_arity(0)
+        if not (binary and unary and nullary):
             raise MissingOperation(
                 "variety unary_monoid needs binary, unary and nullary operations")
-        op = binary_op(A)
+        op = binary[0]
         if _is_associative(A, op) is not None:
             raise IllTyped("variety unary_monoid: operation is not associative")
-        e = A.apply(A.ops_of_arity(0)[0])
-        if A.size and _unit_of(A, op) != e:
+        if A.size and _unit_of(A, op) != nullary[0].table[0]:
             raise IllTyped("variety unary_monoid: constant is not a unit")
-        w = _unary_monoid_law_witness(A)
+        w = _unary_monoid_law_witness(A, op, unary[0])
         if w is not None:
             raise IllTyped(f"variety unary_monoid: x bar(y) y = y bar(y) x "
                            f"fails at {w}")
     elif v == "lattice":
-        meets = A.ops_of_arity(2)
-        if len(meets) < 2:
+        if len(binary) < 2:
             raise MissingOperation("variety lattice needs meet and join")
-        meet, join = meets[0], meets[1]
+        meet, join = binary[0], binary[1]
         for op in (meet, join):
             if _is_commutative(A, op) is not None:
                 raise IllTyped("variety lattice: operation not commutative")
             if _is_associative(A, op) is not None:
                 raise IllTyped("variety lattice: operation not associative")
-        for x in range(A.size):
-            for y in range(A.size):
-                if A.apply(meet, x, A.apply(join, x, y)) != x or \
-                   A.apply(join, x, A.apply(meet, x, y)) != x:
-                    raise IllTyped("variety lattice: absorption fails")
+        # meet(x, join(x, -)) and join(x, meet(x, -)) read row x only
+        for m_row, j_row, x in zip(_rows(meet.table, A.size),
+                                   _rows(join.table, A.size), range(A.size)):
+            if {m_row[u] for u in j_row} | {j_row[u] for u in m_row} != {x}:
+                raise IllTyped("variety lattice: absorption fails")
     elif v == "group":
-        if not A.ops_of_arity(2):
+        if not binary:
             raise MissingOperation("variety group needs a binary operation")
-        op = binary_op(A)
+        op = binary[0]
         if _is_associative(A, op) is not None:
             raise IllTyped("variety group: operation is not associative")
         e = _unit_of(A, op)
         if A.size and e is None:
             raise IllTyped("variety group: no unit element")
-        for x in range(A.size):
-            if not any(A.apply(op, x, y) == e == A.apply(op, y, x)
-                       for y in range(A.size)):
+        for x, ys in enumerate(_inverses(A, op, e)):
+            if not ys:
                 raise IllTyped(f"variety group: element {x} has no inverse")
 
 
 def _is_medial(A: OpAlgebra, op: Operation) -> Optional[tuple]:
-    for x, y, z, w in product(range(A.size), repeat=4):
-        if A.apply(op, A.apply(op, x, y), A.apply(op, z, w)) != \
-           A.apply(op, A.apply(op, x, z), A.apply(op, y, w)):
-            return (x, y, z, w)
-    return None
+    """The first (x, y, z, w) with (x y)(z w) != (x z)(y w)."""
+    n, t = A.size, op.table
+    rows = _rows(t, n)
+    lhs = [v for u in t for v in map(rows[u].__getitem__, t)]
+    rhs = [v for rx in rows for ry in rows
+           for u in rx for v in map(rows[u].__getitem__, ry)]
+    w = _first_difference(lhs, rhs, n, 4)
+    return None if w is None else tuple(w)
 
 
 def check_commutative(A: OpAlgebra) -> Report:
@@ -234,13 +260,31 @@ def check_medial(A: OpAlgebra) -> Report:
     return fails("medial", {"tuple": list(w)})
 
 
-def _cancellation_witness(A: OpAlgebra, op: Operation) -> Optional[tuple]:
-    for x in range(A.size):
-        for y in range(x + 1, A.size):
-            for b in range(A.size):
-                if A.apply(op, x, b) == A.apply(op, y, b):
-                    return (x, y, b)
+def _columns_injective(key, n: int) -> bool:
+    """Whether no column key[b::n] of a flat n x n table repeats a value."""
+    for b in range(n):
+        if len(set(key[b::n])) != n:
+            return False
+    return True
+
+
+def _first_collision(key, n: int) -> Optional[tuple[int, int, int]]:
+    """The first (x, y, b), x < y, in lexicographic order with
+    key[x n + b] = key[y n + b], or None.  There is none when the
+    columns are injective, which is tested first."""
+    if _columns_injective(key, n):
+        return None
+    rows = _rows(key, n)
+    for x, y in combinations(range(n), 2):
+        rx, ry = rows[x], rows[y]
+        for b in range(n):
+            if rx[b] == ry[b]:
+                return (x, y, b)
     return None
+
+
+def _cancellation_witness(A: OpAlgebra, op: Operation) -> Optional[tuple]:
+    return _first_collision(op.table, A.size)
 
 
 def check_cancellative(A: OpAlgebra) -> Report:
@@ -254,32 +298,27 @@ def check_joint_cancellative(A: OpAlgebra) -> Report:
     ops = A.ops_of_arity(2)
     if len(ops) < 2:
         raise MissingOperation("joint cancellation needs two binary operations")
-    op1, op2 = ops[0], ops[1]
-    for x in range(A.size):
-        for y in range(x + 1, A.size):
-            for b in range(A.size):
-                if A.apply(op1, x, b) == A.apply(op1, y, b) and \
-                   A.apply(op2, x, b) == A.apply(op2, y, b):
-                    return fails("joint-cancellative", {"x": x, "y": y, "b": b})
+    w = _first_collision(list(zip(ops[0].table, ops[1].table)), A.size)
+    if w is not None:
+        return fails("joint-cancellative", {"x": w[0], "y": w[1], "b": w[2]})
     return holds("joint-cancellative")
 
 
-def _unary_monoid_law_witness(A: OpAlgebra) -> Optional[tuple[int, int]]:
-    op = binary_op(A)
-    bar = A.ops_of_arity(1)[0]
-    for x in range(A.size):
-        for y in range(A.size):
-            by = A.apply(bar, y)
-            if A.apply(op, A.apply(op, x, by), y) != \
-               A.apply(op, A.apply(op, y, by), x):
-                return (x, y)
-    return None
+def _unary_monoid_law_witness(A: OpAlgebra, op: Operation,
+                              bar: Operation) -> Optional[tuple[int, int]]:
+    """The first (x, y) with (x bar(y)) y != (y bar(y)) x."""
+    n, t, b = A.size, op.table, bar.table
+    right = [t[y * n + b[y]] * n for y in range(n)]     # (y bar(y)) * -
+    lhs = [t[t[x * n + b[y]] * n + y] for x in range(n) for y in range(n)]
+    rhs = [t[u + x] for x in range(n) for u in right]
+    w = _first_difference(lhs, rhs, n, 2)
+    return None if w is None else tuple(w)
 
 
 def check_unary_monoid_law(A: OpAlgebra) -> Report:
     if not A.ops_of_arity(1):
         raise MissingOperation("no unary operation")
-    w = _unary_monoid_law_witness(A)
+    w = _unary_monoid_law_witness(A, binary_op(A), A.ops_of_arity(1)[0])
     if w is None:
         return holds("unary-monoid-law")
     return fails("unary-monoid-law", {"pair": list(w)})
@@ -291,7 +330,7 @@ def _maltsev_solver(A: OpAlgebra):
     op = binary_op(A)
     if _is_commutative(A, op) is not None:
         raise IllTyped("maltsev_solve needs a commutative operation")
-    rows = [op.table[x * n:(x + 1) * n] for x in range(n)]
+    rows = _rows(op.table, n)
     # x * b = b * x, so the solutions of x * b = v are the places of v in row b
     places = [fibres(row) for row in rows]
 
@@ -423,11 +462,15 @@ def classify_wm_object(A: OpAlgebra) -> Classification:
 
 def check_distributive(A: OpAlgebra) -> Report:
     meet, join = A.ops_of_arity(2)[0], A.ops_of_arity(2)[1]
-    for x, y, z in product(range(A.size), repeat=3):
-        if A.apply(meet, x, A.apply(join, y, z)) != \
-           A.apply(join, A.apply(meet, x, y), A.apply(meet, x, z)):
-            return fails("distributive", {"triple": [x, y, z]})
-    return holds("distributive")
+    n = A.size
+    meets, joins = _rows(meet.table, n), _rows(join.table, n)
+    # meet(x, join(y, z)) and join(meet(x, y), meet(x, z)) over (x, y, z)
+    lhs = [v for mx in meets for v in map(mx.__getitem__, join.table)]
+    rhs = [v for mx in meets for u in mx for v in map(joins[u].__getitem__, mx)]
+    w = _first_difference(lhs, rhs, n, 3)
+    if w is None:
+        return holds("distributive")
+    return fails("distributive", {"triple": w})
 
 
 def _classify_lattice(A: OpAlgebra) -> Report:
@@ -445,23 +488,32 @@ def _classify_lattice(A: OpAlgebra) -> Report:
 
 
 def _unique_solution_criterion(A: OpAlgebra) -> Report:
+    """The first (a, b, c) at which x bar(b) b = a bar(b) c has two
+    solutions x, or holds.  Holds at once when, for each b, the left
+    sides over x are distinct; else the right sides are scanned in
+    order for a value that the left sides repeat."""
     op = binary_op(A)
     bar = A.ops_of_arity(1)
-    if not bar:
-        if A.variety != "group":
-            raise MissingOperation("no unary operation")
-        inv = _group_inverse_table(A)
-        bar_table = inv
-    else:
+    if bar:
         bar_table = bar[0].table
-    for a, b, c in product(range(A.size), repeat=3):
-        bb = bar_table[b]
-        rhs = A.apply(op, A.apply(op, a, bb), c)
-        sols = [x for x in range(A.size)
-                if A.apply(op, A.apply(op, x, bb), b) == rhs]
-        if len(sols) > 1:
-            return fails("unique-solution", {"triple": [a, b, c],
-                                             "solutions": sols[:2]})
+    elif A.variety != "group":
+        raise MissingOperation("no unary operation")
+    else:       # the empty group has no unit, and nothing to solve
+        bar_table = _group_inverse_table(A) if A.size else ()
+    n, t = A.size, op.table
+    rows = _rows(t, n)
+    lhs = [[rows[t[x * n + bar_table[b]]][b] for x in range(n)]
+           for b in range(n)]
+    repeated = [{v for v in col if col.count(v) > 1} for col in lhs]
+    if not any(repeated):
+        return holds("unique-solution")
+    for a, b in product(range(n), repeat=2):
+        if repeated[b]:
+            for c, v in enumerate(rows[t[a * n + bar_table[b]]]):
+                if v in repeated[b]:
+                    sols = [x for x, u in enumerate(lhs[b]) if u == v]
+                    return fails("unique-solution", {"triple": [a, b, c],
+                                                     "solutions": sols[:2]})
     return holds("unique-solution")
 
 
@@ -471,9 +523,7 @@ def _group_inverse_table(A: OpAlgebra) -> tuple[int, ...]:
     if e is None:
         raise IllTyped("group without unit")
     inv = []
-    for x in range(A.size):
-        ys = [y for y in range(A.size)
-              if A.apply(op, x, y) == e == A.apply(op, y, x)]
+    for x, ys in enumerate(_inverses(A, op, e)):
         if len(ys) != 1:
             raise IllTyped(f"element {x} lacks a unique inverse")
         inv.append(ys[0])
@@ -483,11 +533,11 @@ def _group_inverse_table(A: OpAlgebra) -> tuple[int, ...]:
 def unary_monoid_from_group(A: OpAlgebra) -> OpAlgebra:
     """View a group as a unary monoid with bar = inverse."""
     op = binary_op(A)
-    e = _unit_of(A, op)
+    inv = _group_inverse_table(A)       # IllTyped when there is no unit
     return OpAlgebra(A.size,
                      (Operation("*", 2, op.table),
-                      Operation("1", 0, (e,)),
-                      Operation("bar", 1, _group_inverse_table(A))),
+                      Operation("1", 0, (_unit_of(A, op),)),
+                      Operation("bar", 1, inv)),
                      "unary_monoid")
 
 
@@ -497,14 +547,17 @@ def equivalence_2_3_check(A: OpAlgebra) -> Report:
     op = binary_op(A)
     if _is_commutative(A, op) is not None:
         raise IllTyped("equivalence check needs a commutative operation")
-    cond2 = _cancellation_witness(A, op) is None
-    cond3 = True
-    for a, b, c in product(range(A.size), repeat=3):
-        target = A.apply(op, a, c)
-        if len([x for x in range(A.size)
-                if A.apply(op, x, b) == target]) > 1:
-            cond3 = False
-            break
+    n, t = A.size, op.table
+    cond2 = _columns_injective(t, n)          # (2): x * b = y * b forces x = y
+    # (3): no target a * c, a value of t, occurs twice in a column b, as
+    # x * b for two x
+    repeated = set()
+    for b in range(n):
+        col = t[b::n]
+        for v in col:
+            if col.count(v) > 1:
+                repeated.add(v)
+    cond3 = repeated.isdisjoint(t)
     agree = cond2 == cond3
     details = (f"cancellation: {cond2}", f"at most one solution: {cond3}")
     if agree:

@@ -10,7 +10,8 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any, Optional
+from itertools import product
+from typing import Any, Iterator, Optional
 
 from . import algebra as alg
 from . import internal, kitecond, limits, schemas
@@ -18,7 +19,7 @@ from .errors import (BudgetExceeded, FinkiteError, HypothesisViolation,
                      IllTyped, InvalidSplitting, MissingOperation,
                      MultipleSolutions, NoSolution, NotAHomomorphism,
                      SchemaError, UnsupportedVariety)
-from .finmaps import ismember
+from .finmaps import index_of, ismember
 from .report import Report, counted, fails, holds, inconclusive
 
 
@@ -231,6 +232,8 @@ def _cmd_wm_object(args) -> int:
 def _cmd_classify(args) -> int:
     obj = _read_json(args.file)
     algebra = schemas.load_algebra(obj, variety=args.variety)
+    if args.budget < 0:
+        raise IllTyped(f"budget must be >= 0, got {args.budget}")
     cls = alg.classify_wm_object(algebra)
     extra = {"criterion": cls.criterion}
     if not cls.report.ok and args.witness_kite:
@@ -281,8 +284,19 @@ def _cmd_relations(args) -> int:
                  {"relations": listing})
 
 
+def _commutative_tables(n: int) -> Iterator[tuple[int, ...]]:
+    """The flat tables of all commutative binary operations on n elements,
+    in lexicographic order of the values on the cells (i, j), i <= j,
+    taken row by row.  Entry (i, j) reads the cell (min(i, j), max(i, j))
+    through one index map."""
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    cell = index_of(cells)
+    index = [cell[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
+    for values in product(range(n), repeat=len(cells)):
+        yield tuple(map(values.__getitem__, index))
+
+
 def _cmd_equiv23(args) -> int:
-    from itertools import product as iproduct
     n = args.size
     if n < 0:
         raise IllTyped(f"size must be >= 0, got {n}")
@@ -290,13 +304,8 @@ def _cmd_equiv23(args) -> int:
         return _emit(args, inconclusive("equiv23",
                                         [f"size {n} sweep not supported; "
                                          "use size <= 3"]))
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
     checked = 0
-    for values in iproduct(range(n), repeat=len(cells)):
-        table = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(cells, values):
-            table[i][j] = table[j][i] = v
-        flat = tuple(table[i][j] for i in range(n) for j in range(n))
+    for flat in _commutative_tables(n):
         algebra = alg.OpAlgebra(n, (alg.Operation("*", 2, flat),), "cmag")
         rep = alg.equivalence_2_3_check(algebra)
         if not rep.ok:

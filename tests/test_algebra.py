@@ -1,6 +1,8 @@
+import ast
 import gc
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -917,3 +919,382 @@ def test_relation_closure_rejects_seed_pairs_off_the_carrier():
     for seed in ([(0, 3)], [(-1, 0)], [(3, 0)]):
         with pytest.raises(IllTyped, match="seed pairs must lie in 0..2"):
             relation_closure(cyclic_magma(3), seed)
+
+
+# --------------------------------------------------------------------------
+# Law-check oracles: the apply-based definitions that the flat-table law
+# checks replaced, compared with them on verdict, first witness, and
+# exception type and text.
+
+def oracle_is_commutative(A, op):
+    for x in range(A.size):
+        for y in range(x + 1, A.size):
+            if A.apply(op, x, y) != A.apply(op, y, x):
+                return (x, y)
+    return None
+
+
+def oracle_is_associative(A, op):
+    for x in range(A.size):
+        for y in range(A.size):
+            for z in range(A.size):
+                if A.apply(op, A.apply(op, x, y), z) != \
+                   A.apply(op, x, A.apply(op, y, z)):
+                    return (x, y, z)
+    return None
+
+
+def oracle_unit_of(A, op):
+    for e in range(A.size):
+        if all(A.apply(op, e, x) == x == A.apply(op, x, e)
+               for x in range(A.size)):
+            return e
+    return None
+
+
+def oracle_is_medial(A, op):
+    for x, y, z, w in product(range(A.size), repeat=4):
+        if A.apply(op, A.apply(op, x, y), A.apply(op, z, w)) != \
+           A.apply(op, A.apply(op, x, z), A.apply(op, y, w)):
+            return (x, y, z, w)
+    return None
+
+
+def oracle_cancellation_witness(A, op):
+    for x in range(A.size):
+        for y in range(x + 1, A.size):
+            for b in range(A.size):
+                if A.apply(op, x, b) == A.apply(op, y, b):
+                    return (x, y, b)
+    return None
+
+
+def oracle_unary_monoid_law_witness(A):
+    op = binary_op(A)
+    bar = A.ops_of_arity(1)[0]
+    for x in range(A.size):
+        for y in range(A.size):
+            by = A.apply(bar, y)
+            if A.apply(op, A.apply(op, x, by), y) != \
+               A.apply(op, A.apply(op, y, by), x):
+                return (x, y)
+    return None
+
+
+def oracle_check_unary_monoid_law(A):
+    if not A.ops_of_arity(1):
+        raise MissingOperation("no unary operation")
+    w = oracle_unary_monoid_law_witness(A)
+    if w is None:
+        return holds("unary-monoid-law")
+    return fails("unary-monoid-law", {"pair": list(w)})
+
+
+def oracle_validate_variety_axioms(A, v):
+    """The axioms of variety v, checked on A whatever A's own tag."""
+    if v == "custom":
+        return
+    if v in ("magma", "cmag", "ccm_magma"):
+        if not A.ops_of_arity(2):
+            raise MissingOperation(f"variety {v} needs a binary operation")
+        op = binary_op(A)
+        if v in ("cmag", "ccm_magma") and \
+                oracle_is_commutative(A, op) is not None:
+            raise IllTyped(f"variety {v}: operation is not commutative")
+        if v == "ccm_magma":
+            if oracle_is_medial(A, op) is not None:
+                raise IllTyped("variety ccm_magma: operation is not medial")
+            if oracle_cancellation_witness(A, op) is not None:
+                raise IllTyped("variety ccm_magma: operation is not cancellative")
+    elif v == "dimagma":
+        if len(A.ops_of_arity(2)) < 2:
+            raise MissingOperation("variety dimagma needs two binary operations")
+        for op in A.ops_of_arity(2)[:2]:
+            if oracle_is_commutative(A, op) is not None:
+                raise IllTyped("variety dimagma: operations must be commutative")
+    elif v == "unary_monoid":
+        if not (A.ops_of_arity(2) and A.ops_of_arity(1) and A.ops_of_arity(0)):
+            raise MissingOperation(
+                "variety unary_monoid needs binary, unary and nullary operations")
+        op = binary_op(A)
+        if oracle_is_associative(A, op) is not None:
+            raise IllTyped("variety unary_monoid: operation is not associative")
+        e = A.apply(A.ops_of_arity(0)[0])
+        if A.size and oracle_unit_of(A, op) != e:
+            raise IllTyped("variety unary_monoid: constant is not a unit")
+        w = oracle_unary_monoid_law_witness(A)
+        if w is not None:
+            raise IllTyped(f"variety unary_monoid: x bar(y) y = y bar(y) x "
+                           f"fails at {w}")
+    elif v == "lattice":
+        meets = A.ops_of_arity(2)
+        if len(meets) < 2:
+            raise MissingOperation("variety lattice needs meet and join")
+        meet, join = meets[0], meets[1]
+        for op in (meet, join):
+            if oracle_is_commutative(A, op) is not None:
+                raise IllTyped("variety lattice: operation not commutative")
+            if oracle_is_associative(A, op) is not None:
+                raise IllTyped("variety lattice: operation not associative")
+        for x in range(A.size):
+            for y in range(A.size):
+                if A.apply(meet, x, A.apply(join, x, y)) != x or \
+                   A.apply(join, x, A.apply(meet, x, y)) != x:
+                    raise IllTyped("variety lattice: absorption fails")
+    elif v == "group":
+        if not A.ops_of_arity(2):
+            raise MissingOperation("variety group needs a binary operation")
+        op = binary_op(A)
+        if oracle_is_associative(A, op) is not None:
+            raise IllTyped("variety group: operation is not associative")
+        e = oracle_unit_of(A, op)
+        if A.size and e is None:
+            raise IllTyped("variety group: no unit element")
+        for x in range(A.size):
+            if not any(A.apply(op, x, y) == e == A.apply(op, y, x)
+                       for y in range(A.size)):
+                raise IllTyped(f"variety group: element {x} has no inverse")
+
+
+def oracle_check_distributive(A):
+    meet, join = A.ops_of_arity(2)[0], A.ops_of_arity(2)[1]
+    for x, y, z in product(range(A.size), repeat=3):
+        if A.apply(meet, x, A.apply(join, y, z)) != \
+           A.apply(join, A.apply(meet, x, y), A.apply(meet, x, z)):
+            return fails("distributive", {"triple": [x, y, z]})
+    return holds("distributive")
+
+
+def oracle_check_joint_cancellative(A):
+    ops = A.ops_of_arity(2)
+    if len(ops) < 2:
+        raise MissingOperation("joint cancellation needs two binary operations")
+    op1, op2 = ops[0], ops[1]
+    for x in range(A.size):
+        for y in range(x + 1, A.size):
+            for b in range(A.size):
+                if A.apply(op1, x, b) == A.apply(op1, y, b) and \
+                   A.apply(op2, x, b) == A.apply(op2, y, b):
+                    return fails("joint-cancellative", {"x": x, "y": y, "b": b})
+    return holds("joint-cancellative")
+
+
+def oracle_unique_solution_criterion(A):
+    op = binary_op(A)
+    bar = A.ops_of_arity(1)
+    if not bar:
+        if A.variety != "group":
+            raise MissingOperation("no unary operation")
+        if not A.size:          # the empty group: nothing to solve
+            return holds("unique-solution")
+        bar_table = oracle_group_inverse_table(A)
+    else:
+        bar_table = bar[0].table
+    for a, b, c in product(range(A.size), repeat=3):
+        bb = bar_table[b]
+        rhs = A.apply(op, A.apply(op, a, bb), c)
+        sols = [x for x in range(A.size)
+                if A.apply(op, A.apply(op, x, bb), b) == rhs]
+        if len(sols) > 1:
+            return fails("unique-solution", {"triple": [a, b, c],
+                                             "solutions": sols[:2]})
+    return holds("unique-solution")
+
+
+def oracle_group_inverse_table(A):
+    op = binary_op(A)
+    e = oracle_unit_of(A, op)
+    if e is None:
+        raise IllTyped("group without unit")
+    inv = []
+    for x in range(A.size):
+        ys = [y for y in range(A.size)
+              if A.apply(op, x, y) == e == A.apply(op, y, x)]
+        if len(ys) != 1:
+            raise IllTyped(f"element {x} lacks a unique inverse")
+        inv.append(ys[0])
+    return tuple(inv)
+
+
+def oracle_equivalence_2_3_check(A):
+    op = binary_op(A)
+    if oracle_is_commutative(A, op) is not None:
+        raise IllTyped("equivalence check needs a commutative operation")
+    cond2 = oracle_cancellation_witness(A, op) is None
+    cond3 = True
+    for a, b, c in product(range(A.size), repeat=3):
+        target = A.apply(op, a, c)
+        if len([x for x in range(A.size)
+                if A.apply(op, x, b) == target]) > 1:
+            cond3 = False
+            break
+    details = (f"cancellation: {cond2}", f"at most one solution: {cond3}")
+    if cond2 == cond3:
+        return holds("equiv23", details)
+    return fails("equiv23", {"cond2": cond2, "cond3": cond3}, details)
+
+
+def law_outcome(fn, *args):
+    """The value, or the exception's type and text, whatever it is."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def as_group(A):
+    """A with the tag "group" but none of its axioms checked, so that the
+    group-only branches also run on algebras that are not groups."""
+    B = OpAlgebra(A.size, A.ops)
+    object.__setattr__(B, "variety", "group")
+    return B
+
+
+PER_OPERATION = [
+    (algebra._is_commutative, oracle_is_commutative),
+    (algebra._is_associative, oracle_is_associative),
+    (algebra._unit_of, oracle_unit_of),
+    (algebra._is_medial, oracle_is_medial),
+    (algebra._cancellation_witness, oracle_cancellation_witness),
+]
+PER_ALGEBRA = [
+    (check_distributive, oracle_check_distributive),
+    (check_joint_cancellative, oracle_check_joint_cancellative),
+    (check_unary_monoid_law, oracle_check_unary_monoid_law),
+    (algebra._unique_solution_criterion, oracle_unique_solution_criterion),
+    (algebra._group_inverse_table, oracle_group_inverse_table),
+    (equivalence_2_3_check, oracle_equivalence_2_3_check),
+]
+
+
+def assert_laws_match_oracles(A):
+    for op in A.ops_of_arity(2):
+        for fast, slow in PER_OPERATION:
+            assert law_outcome(fast, A, op) == law_outcome(slow, A, op), \
+                fast.__name__
+    for B in (A, as_group(A)):
+        for fast, slow in PER_ALGEBRA:
+            assert law_outcome(fast, B) == law_outcome(slow, B), \
+                fast.__name__
+    for v in algebra.VARIETIES:
+        assert law_outcome(OpAlgebra, A.size, A.ops, v) == law_outcome(
+            lambda: oracle_validate_variety_axioms(A, v) or
+            OpAlgebra(A.size, A.ops, v)), v
+
+
+@st.composite
+def law_algebras(draw):
+    """Carriers of size 0 to 3 with up to two operations of arity <= 2
+    (size 0 has no nullary operation)."""
+    n = draw(st.integers(0, 3))
+    arities = draw(st.lists(st.integers(0 if n else 1, 2), max_size=2))
+    return OpAlgebra(n, tuple(
+        Operation(f"o{i}", k, tuple(draw(st.lists(
+            st.integers(0, max(n - 1, 0)), min_size=n ** k,
+            max_size=n ** k))))
+        for i, k in enumerate(arities)))
+
+
+def perturbed(A, data):
+    """A with at most one table entry changed, tagged "custom"."""
+    ops = list(A.ops)
+    if ops and A.size and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(ops) - 1))
+        table = list(ops[i].table)
+        j = data.draw(st.integers(0, len(table) - 1))
+        table[j] = data.draw(st.integers(0, A.size - 1))
+        ops[i] = Operation(ops[i].symbol, ops[i].arity, tuple(table))
+    return OpAlgebra(A.size, tuple(ops))
+
+
+LAW_GALLERY = [cyclic_magma(3), cyclic_group(3), cyclic_group(4), klein_four(),
+               meet_semilattice2(), chain_lattice(3), two_by_two_lattice(),
+               m3_lattice(), n5_lattice(), m3_dimagma(),
+               unary_monoid_from_group(cyclic_group(4)),
+               unary_monoid_from_group(klein_four())]
+
+
+@given(law_algebras())
+@settings(max_examples=300)
+def test_law_checks_match_apply_oracles_on_random_algebras(A):
+    assert_laws_match_oracles(A)
+
+
+@given(commutative_magmas())
+@settings(max_examples=200)
+def test_law_checks_match_apply_oracles_on_commutative_magmas(A):
+    assert_laws_match_oracles(A)
+
+
+@given(st.sampled_from(LAW_GALLERY), st.data())
+@settings(max_examples=150)
+def test_law_checks_match_apply_oracles_near_the_gallery(A, data):
+    assert_laws_match_oracles(perturbed(A, data))
+
+
+def ops2(*tables):
+    return tuple(Operation(f"o{i}", 2, t) for i, t in enumerate(tables))
+
+
+UNIT_MONOID = (Operation("*", 2, (0, 1, 1, 0)), Operation("1", 0, (1,)),
+               Operation("bar", 1, (0, 1)))
+LAW_FAILING_MONOID = (Operation("*", 2, (0, 0, 0, 0, 1, 2, 2, 2, 2)),
+                      Operation("1", 0, (1,)), Operation("bar", 1, (0, 0, 0)))
+
+VARIETY_BRANCHES = [
+    (2, ops2((0, 0, 1, 1)), "cmag",
+     "variety cmag: operation is not commutative"),
+    (2, ops2((0, 0, 0, 1), (0, 0, 1, 1)), "dimagma",
+     "variety dimagma: operations must be commutative"),
+    (2, ops2((1, 0, 0, 0)), "group",
+     "variety group: operation is not associative"),
+    (2, ops2((0, 0, 0, 0)), "group", "variety group: no unit element"),
+    (2, ops2((0, 0, 0, 1)), "group", "variety group: element 0 has no inverse"),
+    (2, ops2((0, 0, 0, 1), (0, 0, 0, 1)), "lattice",
+     "variety lattice: absorption fails"),
+    (2, ops2((0, 0, 0, 1), (1, 0, 0, 0)), "lattice",
+     "variety lattice: operation not associative"),
+    (3, ops2((0, 0, 0, 0, 0, 2, 0, 2, 1)), "ccm_magma",
+     "variety ccm_magma: operation is not medial"),
+    (2, ops2((0, 0, 0, 1)), "ccm_magma",
+     "variety ccm_magma: operation is not cancellative"),
+    (3, LAW_FAILING_MONOID, "unary_monoid",
+     "variety unary_monoid: x bar(y) y = y bar(y) x fails at (0, 2)"),
+    (2, UNIT_MONOID, "unary_monoid",
+     "variety unary_monoid: constant is not a unit"),
+    (2, (Operation("*", 2, (1, 0, 0, 0)),) + UNIT_MONOID[1:], "unary_monoid",
+     "variety unary_monoid: operation is not associative"),
+]
+
+
+@pytest.mark.parametrize("n, ops, variety, message", VARIETY_BRANCHES,
+                         ids=[m for *_, m in VARIETY_BRANCHES])
+def test_each_variety_axiom_branch_names_its_law(n, ops, variety, message):
+    with pytest.raises(IllTyped) as exc:
+        OpAlgebra(n, ops, variety)
+    assert str(exc.value) == message
+    with pytest.raises(IllTyped, match=message.replace("(", r"\(")
+                       .replace(")", r"\)")):
+        oracle_validate_variety_axioms(OpAlgebra(n, ops), variety)
+
+
+EMPTY_GROUP = OpAlgebra(0, (Operation("*", 2, ()),), "group")
+
+
+def test_the_empty_group_classifies_as_it_validates():
+    assert classify_wm_object(EMPTY_GROUP).report.ok
+    with pytest.raises(IllTyped, match="group without unit"):
+        unary_monoid_from_group(EMPTY_GROUP)
+
+
+def test_no_apply_call_is_left_outside_opalgebra_apply():
+    """Law checks read the flat tables; `OpAlgebra.apply` stays as the
+    public per-entry reader, and nothing in the library calls it."""
+    calls = []
+    for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "apply":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

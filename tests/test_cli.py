@@ -1,10 +1,12 @@
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from finkite import algebra
 from finkite.algebra import OpAlgebra, Operation
-from finkite.cli import build_parser, main
+from finkite.cli import _commutative_tables, build_parser, main
 from finkite.errors import IllTyped
 from finkite.schemas import dump_algebra, dump_finmap
 from finkite.gallery import cyclic_magma, m3_lattice, meet_semilattice2
@@ -358,12 +360,56 @@ def test_negative_sizes_exit_2_with_one_json_line(capsys):
 
 def test_negative_budgets_exit_2_with_one_json_line(capsys, tmp_path):
     meet = write(tmp_path, "meet.json", dump_algebra(meet_semilattice2()))
+    # z3 classifies as holds, so no witness search would see the budget
+    z3 = write(tmp_path, "z3.json", dump_algebra(cyclic_magma(3)))
     for argv in (["classify", meet, "--witness-kite", "--budget", "-1"],
+                 ["classify", z3, "--witness-kite", "--budget", "-1"],
                  ["relations", meet, "--reflexive", "--budget", "-1"]):
         code, err = one_json_error(capsys, argv)
-        assert code == 2 and err["error"] == "budget must be >= 0, got -1"
+        assert code == 2 and err == {"error": "budget must be >= 0, got -1",
+                                     "exit": 2}
     code, out = run(capsys, "classify", meet, "--witness-kite", "--budget",
                     "0")
     assert code == 1 and out["witness_search"]["examined"] == 0
     code, out = run(capsys, "relations", meet, "--reflexive", "--budget", "0")
     assert code == 3 and out["verdict"] == "inconclusive"
+
+
+def test_the_empty_group_validates_and_classifies_as_holds(capsys, tmp_path):
+    empty = write(tmp_path, "e.json", {
+        "kind": "algebra", "size": 0, "variety": "group",
+        "ops": [{"symbol": "*", "arity": 2, "table": []}]})
+    for command in ("validate", "classify"):
+        code, out = run(capsys, command, empty)
+        assert code == 0 and out["verdict"] == "holds"
+
+
+def nested_list_tables(n):
+    """The equiv23 sweep's tables as built before the index map."""
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    for values in product(range(n), repeat=len(cells)):
+        table = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(cells, values):
+            table[i][j] = table[j][i] = v
+        yield tuple(table[i][j] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("n, count", [(0, 1), (1, 1), (2, 8), (3, 729)])
+def test_index_map_tables_match_the_nested_list_build(n, count):
+    tables = list(_commutative_tables(n))
+    assert len(tables) == count
+    assert tables == list(nested_list_tables(n))
+
+
+def test_equiv23_reports_the_first_magma_where_the_conditions_disagree(
+        capsys, monkeypatch):
+    tables = list(_commutative_tables(3))
+    chosen = {tables[40], tables[7]}       # both have a repeated column
+    assert not any(algebra._columns_injective(t, 3) for t in chosen)
+    real = algebra._columns_injective
+    monkeypatch.setattr(algebra, "_columns_injective",
+                        lambda key, n: key in chosen or real(key, n))
+    code, out = run(capsys, "equiv23", "--size", "3")
+    assert code == 1 and out["verdict"] == "fails"
+    assert out["witness"] == {"table": list(tables[7]), "cond2": True,
+                              "cond3": False}
