@@ -461,7 +461,10 @@ def classify_wm_object(A: OpAlgebra) -> Classification:
 
 
 def check_distributive(A: OpAlgebra) -> Report:
-    meet, join = A.ops_of_arity(2)[0], A.ops_of_arity(2)[1]
+    ops = A.ops_of_arity(2)
+    if len(ops) < 2:
+        raise MissingOperation("distributivity needs two binary operations")
+    meet, join = ops[0], ops[1]
     n = A.size
     meets, joins = _rows(meet.table, n), _rows(join.table, n)
     # meet(x, join(y, z)) and join(meet(x, y), meet(x, z)) over (x, y, z)

@@ -82,63 +82,28 @@ def _kind_of(obj: Any, override: Optional[str], path: str) -> str:
 def _cmd_validate(args) -> int:
     obj = _read_json(args.file)
     kind = _kind_of(obj, args.kind, args.file)
-    max_size = args.max_size
+    row = schemas.KINDS.get(kind) if isinstance(kind, str) else None
+    if row is None:
+        raise SchemaError(f"{args.file}: unknown kind {kind!r}")
     try:
-        if kind == "algebra":
-            alg_obj = schemas.load_algebra(obj, max_size=max_size)
-            return _emit(args, holds("validate",
-                                     [f"algebra of size {alg_obj.size}, "
-                                      f"variety {alg_obj.variety}"]))
-        if kind == "variety_kite":
-            schemas.load_variety_kite(obj, max_size)
-            return _emit(args, holds("validate", ["variety kite laws hold"]))
-        if kind not in schemas.LOADERS:
-            raise SchemaError(f"{args.file}: unknown kind {kind!r}")
-        loaded = schemas.LOADERS[kind](obj, max_size)
+        loaded = schemas.load_maps(kind, obj, args.max_size)
     except (IllTyped, NotAHomomorphism, UnsupportedVariety,
             MissingOperation, InvalidSplitting) as exc:
         return _emit(args, fails("validate", {"violation": str(exc)}))
-    if kind in ("finmap", "split_cospan", "span", "admissibility_kite"):
-        return _emit(args, holds("validate", [f"{kind} laws hold"]))
-    if kind == "reflexive_graph":
-        return _emit(args, internal.validate_reflexive_graph(loaded))
-    if kind == "multiplicative_graph":
-        return _emit(args, internal.validate_multiplicative_graph(loaded))
-    if kind == "unital_multiplicative_graph":
-        return _emit(args, internal.validate_unital_multiplicative_graph(loaded))
-    if kind == "category":
-        return _emit(args, internal.validate_category(loaded))
-    if kind == "groupoid":
-        return _emit(args, internal.validate_groupoid(loaded))
-    if kind == "pregroupoid":
-        return _emit(args, internal.validate_pregroupoid(loaded))
-    if kind == "directed_kite":
-        return _emit(args, internal.validate_directed_kite(loaded))
-    if kind == "kite_diagram":
-        return _emit(args, kitecond.check_hypotheses(loaded))
-    if kind == "lp_diagram":
-        res = limits.check_local_product_intrinsic(
-            loaded["p1"], loaded["p2"], loaded["e1"], loaded["e2"])
-        return _emit(args, res.report)
-    raise SchemaError(f"unhandled kind {kind!r}")
+    return _emit(args, row.check(loaded))
 
 
 def _cmd_lp(args) -> int:
-    sc = schemas.load_split_cospan(_read_json(args.file))
+    sc = schemas.load_maps("split_cospan", _read_json(args.file))
     lp = limits.local_product(sc)
-    extra = {
-        "kind": "lp_diagram",
-        "labels": [list(lab) for lab in lp.element_labels],
-        "p1": schemas.dump_finmap(lp.p1), "p2": schemas.dump_finmap(lp.p2),
-        "e1": schemas.dump_finmap(lp.e1), "e2": schemas.dump_finmap(lp.e2),
-    }
+    extra = {**schemas.dump_maps("lp_diagram", lp),
+             "labels": [list(lab) for lab in lp.element_labels]}
     return _emit(args, holds("lp", [f"local product of size {lp.E}"]), extra)
 
 
 def _cmd_lp_check(args) -> int:
-    maps = schemas.load_lp_diagram(_read_json(args.file))
-    res = limits.check_local_product_intrinsic(maps["p1"], maps["p2"],
-                                               maps["e1"], maps["e2"])
+    lp = schemas.load_maps("lp_diagram", _read_json(args.file))
+    res = limits.check_local_product_intrinsic(**vars(lp))
     extra = {}
     if res.cospan is not None:
         extra["cospan"] = {n: schemas.dump_finmap(getattr(res.cospan, n))
@@ -149,38 +114,35 @@ def _cmd_lp_check(args) -> int:
 
 
 def _cmd_pushout_compare(args) -> int:
-    sc = schemas.load_split_cospan(_read_json(args.file))
+    sc = schemas.load_maps("split_cospan", _read_json(args.file))
     lp = limits.local_product(sc)
     return _emit(args, limits.local_coproduct_compare(lp))
 
 
 def _cmd_kpc(args) -> int:
-    span = schemas.load_span(_read_json(args.file))
+    span = schemas.load_maps("span", _read_json(args.file))
     k = internal.kpc_swapped(span) if args.swapped else internal.kpc(span)
     # the payload is the constructed reflexive graph (d = dom, c = cod,
     # e = diagonal), so `validate` accepts it as emitted
-    extra = {
-        "kind": "reflexive_graph",
-        "d": schemas.dump_finmap(k.graph.d),
-        "c": schemas.dump_finmap(k.graph.c),
-        "e": schemas.dump_finmap(k.graph.e),
-        "mid": schemas.dump_finmap(k.mid),
-        "triples": [list(t) for t in k.triples],
-    }
+    extra = {**schemas.dump_maps("reflexive_graph", k.graph),
+             "mid": schemas.dump_finmap(k.mid),
+             "triples": [list(t) for t in k.triples]}
     label = "swapped kernel pair construction" if args.swapped else \
         "kernel pair construction"
     return _emit(args, holds("kpc", [f"{label}: {k.size} triples"]), extra)
 
 
-def _build_directed_kite(source: str, obj: dict) -> internal.DirectedKite:
+def _build_directed_kite(source: str, obj: Any) -> internal.DirectedKite:
     if source == "rg":
-        return internal.kite_from_rg(schemas.load_reflexive_graph(obj))
+        return internal.kite_from_rg(schemas.load_maps("reflexive_graph", obj))
     if source == "umg":
-        return internal.kite_from_umg(schemas.load_multiplicative_graph(obj))
+        return internal.kite_from_umg(
+            schemas.load_maps("multiplicative_graph", obj))
     if source == "cat":
-        return internal.kite_from_cat(schemas.load_multiplicative_graph(obj))
+        return internal.kite_from_cat(
+            schemas.load_maps("multiplicative_graph", obj))
     if source == "span":
-        return internal.kite_from_span(schemas.load_span(obj))
+        return internal.kite_from_span(schemas.load_maps("span", obj))
     raise SchemaError(f"unknown kite source {source!r}")
 
 
@@ -188,20 +150,19 @@ def _cmd_kite_build(args) -> int:
     dk = _build_directed_kite(args.source, _read_json(args.file))
     if args.assembled:
         kd, lp = kitecond.assemble_kite(dk)
-        extra = schemas.dump_kite_diagram(kd)
+        extra = schemas.dump_maps("kite_diagram", kd)
         extra["labels"] = [list(lab) for lab in lp.element_labels]
         return _emit(args, holds("kite-build", ["assembled kite diagram"]),
                      extra)
     return _emit(args, holds("kite-build", ["directed kite"]),
-                 schemas.dump_directed_kite(dk))
+                 schemas.dump_maps("directed_kite", dk))
 
 
-def _load_kite_diagram_any(obj: dict) -> kitecond.KiteDiagram:
-    kind = obj.get("kind", "kite_diagram")
-    if kind == "directed_kite":
-        kd, _ = kitecond.assemble_kite(schemas.load_directed_kite(obj))
+def _load_kite_diagram_any(obj: Any) -> kitecond.KiteDiagram:
+    if isinstance(obj, dict) and obj.get("kind") == "directed_kite":
+        kd, _ = kitecond.assemble_kite(schemas.load_maps("directed_kite", obj))
         return kd
-    return schemas.load_kite_diagram(obj)
+    return schemas.load_maps("kite_diagram", obj)
 
 
 def _cmd_kite_check(args) -> int:
@@ -222,10 +183,8 @@ def _cmd_wm_object(args) -> int:
     chk = kitecond.wm_object_check_finset(args.size)
     extra = {}
     if chk.witness is not None:
-        extra["witness_kite"] = {
-            n: schemas.dump_finmap(getattr(chk.witness, n))
-            for n in ("f", "r", "s", "g", "alpha", "beta", "gamma")}
-        extra["witness_kite"]["kind"] = "admissibility_kite"
+        extra["witness_kite"] = schemas.dump_maps("admissibility_kite",
+                                                  chk.witness)
     return _emit(args, chk.report, extra)
 
 

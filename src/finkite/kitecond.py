@@ -221,45 +221,18 @@ def theta(k: KiteDiagram, mu: FinMap) -> ThetaResult:
     return ThetaResult(kswap, c2, th, m)
 
 
-@dataclass(frozen=True)
-class DeltaResult:
-    egraph: KpcResult
-    c2: C2Data
-    delta: FinMap
-
-
-def delta(k: KiteDiagram) -> DeltaResult:
-    """The pairing <<e1p1, e1p1, e1p1e2p2>, <e1p1e2p2, e2p2, e2p2>> into
-    composable pairs of triples over (E, p2, p1)."""
+def delta_identity_check(k: KiteDiagram, mu_e: FinMap) -> Report:
+    """mid mu delta = 1_E, asserted through the two projection
+    identities and combined via joint monicity of (p1, p2).  delta is
+    theta for the kite of E over itself: legs e1, e1p1e2p2, e2 into the
+    span (E, p2, p1), whose hypotheses follow from those of k."""
     rep = check_hypotheses(k)
     if not rep.ok:
         raise HypothesisViolation(f"kite hypotheses fail: {rep.witness}")
-    egraph = kpc_swapped(Span(k.p2, k.p1))
-    c2 = composable_pairs(egraph.graph)
-    t_index = index_of(egraph.triples)
-    pair_index = index_of(c2.labels)
-    e1p1 = compose(k.e1, k.p1)
-    e2p2 = compose(k.e2, k.p2)
-    mixed = compose(e1p1, e2p2)
-    table = []
-    for ksi in range(k.E):
-        first = (e1p1.table[ksi], e1p1.table[ksi], mixed.table[ksi])
-        second = (mixed.table[ksi], e2p2.table[ksi], e2p2.table[ksi])
-        if first not in t_index or second not in t_index:
-            raise IllTyped(f"delta components are not triples at {ksi}")
-        key = (t_index[first], t_index[second])
-        if key not in pair_index:
-            raise IllTyped(f"delta components are not composable at {ksi}")
-        table.append(pair_index[key])
-    return DeltaResult(egraph, c2, FinMap(k.E, c2.size, tuple(table)))
-
-
-def delta_identity_check(k: KiteDiagram, mu_e: FinMap) -> Report:
-    """mid mu delta = 1_E, asserted through the two projection
-    identities and combined via joint monicity of (p1, p2)."""
-    dres = delta(k)
-    _validate_multiplication(dres.egraph, dres.c2, mu_e)
-    comp = compose(dres.egraph.mid, compose(mu_e, dres.delta))
+    over_e = KiteDiagram(k.p1, k.p2, k.e1, k.e2, k.e1,
+                         compose(compose(k.e1, k.p1), compose(k.e2, k.p2)),
+                         k.e2, k.p2, k.p1)
+    comp = theta(over_e, mu_e).m
     for name, lhs, rhs in (
             ("p1 mid mu delta != p1", compose(k.p1, comp), k.p1),
             ("p2 mid mu delta != p2", compose(k.p2, comp), k.p2)):

@@ -1,14 +1,17 @@
 """JSON file formats for every structure the CLI reads and writes.
 
 All tables are 0-based index sequences.  Each bundle carries a "kind"
-field so `validate` can dispatch; loaders point at the offending field
-on malformed input.
+field; `KINDS` says, for each kind, which maps the file holds, the
+structure built from them and the check `validate` runs on it.  Loaders
+point at the offending field on malformed input.
 """
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, Optional
 
+from . import internal, kitecond, limits
 from .algebra import OpAlgebra, Operation, VarietyKite, _table_length_error
 from .errors import SchemaError
 from .finmaps import FinMap
@@ -16,6 +19,7 @@ from .internal import (DirectedKite, MultiplicativeGraph, Pregroupoid,
                        ReflexiveGraph, Span)
 from .kitecond import AdmissibilityKite, KiteDiagram
 from .limits import SplitCospan
+from .report import Report, holds
 
 _FINMAP_SCHEMA = {
     "type": "object",
@@ -163,76 +167,6 @@ def dump_finmap(f: FinMap) -> dict:
     return {"dom": f.dom, "cod": f.cod, "table": list(f.table)}
 
 
-def _load_maps(obj: dict, names: tuple[str, ...], where: str,
-               max_size: Optional[int] = None) -> dict[str, FinMap]:
-    return {n: load_finmap(_need(obj, n, where), f"{where}.{n}", max_size)
-            for n in names}
-
-
-def load_split_cospan(obj: dict, max_size=None) -> SplitCospan:
-    m = _load_maps(obj, ("f", "r", "g", "s"), "split_cospan", max_size)
-    return SplitCospan(m["f"], m["r"], m["g"], m["s"])
-
-
-def load_span(obj: dict, max_size=None) -> Span:
-    m = _load_maps(obj, ("d", "c"), "span", max_size)
-    return Span(m["d"], m["c"])
-
-
-def load_reflexive_graph(obj: dict, max_size=None) -> ReflexiveGraph:
-    m = _load_maps(obj, ("d", "c", "e"), "reflexive_graph", max_size)
-    return ReflexiveGraph(m["d"], m["c"], m["e"])
-
-
-def load_multiplicative_graph(obj: dict, max_size=None) -> MultiplicativeGraph:
-    rg = load_reflexive_graph(obj, max_size)
-    m = load_finmap(_need(obj, "m", "multiplicative_graph"),
-                    "multiplicative_graph.m", max_size)
-    return MultiplicativeGraph(rg, m)
-
-
-def load_pregroupoid(obj: dict, max_size=None) -> Pregroupoid:
-    span = load_span(obj, max_size)
-    p = load_finmap(_need(obj, "p", "pregroupoid"), "pregroupoid.p", max_size)
-    return Pregroupoid(span, p)
-
-
-def load_directed_kite(obj: dict, max_size=None) -> DirectedKite:
-    m = _load_maps(obj, ("f", "r", "s", "g", "alpha", "beta", "gamma",
-                         "d", "c"), "directed_kite", max_size)
-    return DirectedKite(**m)
-
-
-def dump_directed_kite(dk: DirectedKite) -> dict:
-    return {"kind": "directed_kite",
-            **{n: dump_finmap(getattr(dk, n))
-               for n in ("f", "r", "s", "g", "alpha", "beta", "gamma",
-                         "d", "c")}}
-
-
-def load_kite_diagram(obj: dict, max_size=None) -> KiteDiagram:
-    m = _load_maps(obj, ("p1", "p2", "e1", "e2", "alpha", "beta", "gamma",
-                         "d", "c"), "kite_diagram", max_size)
-    return KiteDiagram(**m)
-
-
-def dump_kite_diagram(k: KiteDiagram) -> dict:
-    return {"kind": "kite_diagram",
-            **{n: dump_finmap(getattr(k, n))
-               for n in ("p1", "p2", "e1", "e2", "alpha", "beta", "gamma",
-                         "d", "c")}}
-
-
-def load_lp_diagram(obj: dict, max_size=None) -> dict[str, FinMap]:
-    return _load_maps(obj, ("p1", "p2", "e1", "e2"), "lp_diagram", max_size)
-
-
-def load_admissibility_kite(obj: dict, max_size=None) -> AdmissibilityKite:
-    m = _load_maps(obj, ("f", "r", "s", "g", "alpha", "beta", "gamma"),
-                   "admissibility_kite", max_size)
-    return AdmissibilityKite(**m)
-
-
 def load_algebra(obj: dict, variety: Optional[str] = None,
                  max_size: Optional[int] = None) -> OpAlgebra:
     size = _need(obj, "size", "algebra")
@@ -290,18 +224,97 @@ def dump_variety_kite(vk: VarietyKite) -> dict:
                for n in ("f", "r", "s", "g", "alpha", "beta", "gamma")}}
 
 
-LOADERS = {
-    "finmap": lambda obj, max_size=None: load_finmap(obj, "finmap", max_size),
-    "split_cospan": load_split_cospan,
-    "span": load_span,
-    "reflexive_graph": load_reflexive_graph,
-    "multiplicative_graph": load_multiplicative_graph,
-    "unital_multiplicative_graph": load_multiplicative_graph,
-    "category": load_multiplicative_graph,
-    "groupoid": load_multiplicative_graph,
-    "pregroupoid": load_pregroupoid,
-    "directed_kite": load_directed_kite,
-    "kite_diagram": load_kite_diagram,
-    "lp_diagram": load_lp_diagram,
-    "admissibility_kite": load_admissibility_kite,
+class Kind(NamedTuple):
+    """One structure-file kind.  `maps` lists its finmap fields in load
+    order as (owner, field): a malformed field is reported at
+    `owner.field`, where the owner is the part of the structure that
+    holds it (the multiplicative-graph kinds report d, c and e at
+    `reflexive_graph`).  `build` makes the structure from the loaded
+    maps by field name; a kind without map fields reads its own format
+    through `build(obj, max_size)`.  `check` gives the report `validate`
+    emits for the loaded structure."""
+    maps: tuple[tuple[str, str], ...]
+    build: Callable[..., Any]
+    check: Callable[[Any], Report]
+
+
+def _fields(owner: str, names: str) -> tuple[tuple[str, str], ...]:
+    return tuple((owner, n) for n in names.split())
+
+
+def _laws_hold(kind: str) -> Callable[[Any], Report]:
+    return lambda _: holds("validate", [f"{kind} laws hold"])
+
+
+def _multiplicative_graph(d, c, e, m) -> MultiplicativeGraph:
+    return MultiplicativeGraph(ReflexiveGraph(d, c, e), m)
+
+
+_RG = _fields("reflexive_graph", "d c e")
+_MG = _RG + (("multiplicative_graph", "m"),)
+
+# Checks and loaders are looked up on their modules at call time, so a
+# wrapper installed there (as bench/tracer.py does) sees the call.
+KINDS: dict[str, Kind] = {
+    "finmap": Kind((), lambda obj, max_size: load_finmap(obj, "finmap",
+                                                         max_size),
+                   _laws_hold("finmap")),
+    "split_cospan": Kind(_fields("split_cospan", "f r g s"), SplitCospan,
+                         _laws_hold("split_cospan")),
+    "span": Kind(_fields("span", "d c"), Span, _laws_hold("span")),
+    "reflexive_graph": Kind(
+        _RG, ReflexiveGraph,
+        lambda rg: internal.validate_reflexive_graph(rg)),
+    "multiplicative_graph": Kind(
+        _MG, _multiplicative_graph,
+        lambda mg: internal.validate_multiplicative_graph(mg)),
+    "unital_multiplicative_graph": Kind(
+        _MG, _multiplicative_graph,
+        lambda mg: internal.validate_unital_multiplicative_graph(mg)),
+    "category": Kind(_MG, _multiplicative_graph,
+                     lambda mg: internal.validate_category(mg)),
+    "groupoid": Kind(_MG, _multiplicative_graph,
+                     lambda mg: internal.validate_groupoid(mg)),
+    "pregroupoid": Kind(
+        _fields("span", "d c") + (("pregroupoid", "p"),),
+        lambda d, c, p: Pregroupoid(Span(d, c), p),
+        lambda pg: internal.validate_pregroupoid(pg)),
+    "directed_kite": Kind(
+        _fields("directed_kite", "f r s g alpha beta gamma d c"),
+        DirectedKite, lambda dk: internal.validate_directed_kite(dk)),
+    "kite_diagram": Kind(
+        _fields("kite_diagram", "p1 p2 e1 e2 alpha beta gamma d c"),
+        KiteDiagram, lambda kd: kitecond.check_hypotheses(kd)),
+    "lp_diagram": Kind(
+        _fields("lp_diagram", "p1 p2 e1 e2"), SimpleNamespace,
+        lambda lp: limits.check_local_product_intrinsic(**vars(lp)).report),
+    "admissibility_kite": Kind(
+        _fields("admissibility_kite", "f r s g alpha beta gamma"),
+        AdmissibilityKite, _laws_hold("admissibility_kite")),
+    "algebra": Kind(
+        (), lambda obj, max_size: load_algebra(obj, max_size=max_size),
+        lambda a: holds("validate", [f"algebra of size {a.size}, "
+                                     f"variety {a.variety}"])),
+    "variety_kite": Kind(
+        (), lambda obj, max_size: load_variety_kite(obj, max_size),
+        lambda _: holds("validate", ["variety kite laws hold"])),
 }
+
+
+def load_maps(kind: str, obj: Any, max_size: Optional[int] = None) -> Any:
+    """The structure that a file of this kind describes, with every
+    object bounded by max_size when one is given."""
+    row = KINDS[kind]
+    if not row.maps:
+        return row.build(obj, max_size)
+    return row.build(**{n: load_finmap(_need(obj, n, owner), f"{owner}.{n}",
+                                       max_size)
+                        for owner, n in row.maps})
+
+
+def dump_maps(kind: str, x: Any) -> dict:
+    """The file of a map kind for x, which holds each map as the
+    attribute of its field name (the multiplicative-graph kinds and
+    pregroupoids keep d, c and e on their graph or span instead)."""
+    return {"kind": kind,
+            **{n: dump_finmap(getattr(x, n)) for _, n in KINDS[kind].maps}}

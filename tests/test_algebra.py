@@ -65,6 +65,12 @@ def test_missing_operation():
         check_commutative(two_element_set_algebra())
 
 
+def test_distributivity_needs_two_binary_operations():
+    for A in (two_element_set_algebra(), cyclic_magma(3)):
+        with pytest.raises(MissingOperation):
+            check_distributive(A)
+
+
 def test_maltsev_solve_examples():
     z5 = cyclic_magma(5)
     assert maltsev_solve(z5, 1, 4, 3) == 0
@@ -1057,7 +1063,10 @@ def oracle_validate_variety_axioms(A, v):
 
 
 def oracle_check_distributive(A):
-    meet, join = A.ops_of_arity(2)[0], A.ops_of_arity(2)[1]
+    ops = A.ops_of_arity(2)
+    if len(ops) < 2:
+        raise MissingOperation("distributivity needs two binary operations")
+    meet, join = ops[0], ops[1]
     for x, y, z in product(range(A.size), repeat=3):
         if A.apply(meet, x, A.apply(join, y, z)) != \
            A.apply(join, A.apply(meet, x, y), A.apply(meet, x, z)):

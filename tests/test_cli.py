@@ -413,3 +413,29 @@ def test_equiv23_reports_the_first_magma_where_the_conditions_disagree(
     assert code == 1 and out["verdict"] == "fails"
     assert out["witness"] == {"table": list(tables[7]), "cond2": True,
                               "cond3": False}
+
+
+@pytest.mark.parametrize("kind", [[1], {}])
+def test_validate_unhashable_kind_exits_2_with_one_json_line(capsys, tmp_path,
+                                                             kind):
+    path = write(tmp_path, "kind.json", {"kind": kind})
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert f"unknown kind {kind!r}" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("top", [[], "x"])
+def test_kite_commands_on_a_non_object_exit_2_with_one_json_line(
+        capsys, tmp_path, top):
+    path = write(tmp_path, "top.json", top)
+    for command in ("check", "solve"):
+        assert main(["kite", command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith(
+            "kite_diagram: expected an object")

@@ -14,7 +14,7 @@ from finkite.internal import (Span, composable_pairs, kite_from_cat,
                               kite_from_rg, kite_from_span, kite_from_umg, kpc,
                               kpc_swapped, umg_multiplications)
 from finkite.kitecond import (AdmissibilityKite, KiteDiagram, admissibility_count,
-                              assemble_kite, check_hypotheses, delta,
+                              assemble_kite, check_hypotheses,
                               delta_identity_check, kite5_pairing, maltsev_mu,
                               pregroupoid_solutions, solve_m, theta,
                               wm_object_check_finset)

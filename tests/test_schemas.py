@@ -3,9 +3,8 @@ import pytest
 from finkite.errors import SchemaError
 from finkite.gallery import cyclic_magma, group_pair_span, meet_semilattice2
 from finkite.internal import kite_from_span
-from finkite.schemas import (SCHEMAS, dump_algebra, dump_directed_kite,
-                             dump_finmap, load_algebra, load_directed_kite,
-                             load_finmap, load_span, load_split_cospan,
+from finkite.schemas import (KINDS, SCHEMAS, dump_algebra, dump_finmap,
+                             dump_maps, load_algebra, load_finmap, load_maps,
                              load_variety_kite, dump_variety_kite,
                              schema_text)
 
@@ -27,7 +26,7 @@ def test_finmap_error_points_at_field():
 
 def test_directed_kite_round_trip():
     dk = kite_from_span(group_pair_span(2))
-    again = load_directed_kite(dump_directed_kite(dk))
+    again = load_maps("directed_kite", dump_maps("directed_kite", dk))
     assert again == dk
 
 
@@ -60,13 +59,38 @@ def test_schema_text_known_names():
         schema_text("bogus")
 
 
+def test_every_kind_has_a_schema_naming_its_maps():
+    for kind, row in KINDS.items():
+        fields = SCHEMAS[kind]["fields"]
+        if isinstance(fields, str):         # "as multiplicative_graph"
+            fields = SCHEMAS[fields.split()[-1]]["fields"]
+        if row.maps:
+            assert list(fields) == [n for _, n in row.maps], kind
+
+
 def test_non_object_entry_is_a_schema_error():
     with pytest.raises(SchemaError) as exc:
         load_algebra({"kind": "algebra", "size": 2, "ops": [5]})
     assert "algebra.ops[0]" in str(exc.value)
     with pytest.raises(SchemaError) as exc:
-        load_span({"d": {"dom": 0, "cod": 1, "table": []}, "c": [1]})
+        load_maps("span", {"d": {"dom": 0, "cod": 1, "table": []}, "c": [1]})
     assert "span.c" in str(exc.value)
+
+
+@pytest.mark.parametrize("kind, field, where", [
+    ("multiplicative_graph", "d", "reflexive_graph.d"),
+    ("category", "m", "multiplicative_graph.m"),
+    ("pregroupoid", "c", "span.c"),
+    ("pregroupoid", "p", "pregroupoid.p"),
+    ("kite_diagram", "gamma", "kite_diagram.gamma"),
+])
+def test_a_malformed_map_is_reported_where_its_structure_holds_it(
+        kind, field, where):
+    obj = {n: {"dom": 0, "cod": 0, "table": []} for _, n in KINDS[kind].maps}
+    obj[field] = [1]
+    with pytest.raises(SchemaError) as exc:
+        load_maps(kind, obj)
+    assert str(exc.value).startswith(f"{where}: ")
 
 
 def test_finmap_rejects_bool_entries():
