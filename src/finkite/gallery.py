@@ -184,10 +184,11 @@ def group_kite(n: int) -> KiteDiagram:
 
 def group_kite_bundle(n: int):
     """The Z_n group kite together with the canonical unital
-    multiplications needed by the theta and delta constructions: mu on
+    multiplications that theta and delta_identity_check take: mu on
     the swapped kernel pair construction of the direction span, and
-    mu_e on the swapped construction of the span (E, p2, p1).  Both
-    read the Mal'tsev operation from one table of its D^3 values."""
+    mu_e on the swapped construction of the span (E, p2, p1), each a
+    validated UnitalMultiplication.  Both read the Mal'tsev operation
+    from one table of its D^3 values."""
     from .internal import kpc, kpc_swapped
     from .kitecond import maltsev_mu
 

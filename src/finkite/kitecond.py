@@ -16,7 +16,7 @@ from .finmaps import (FinMap, SolveResult, compose, first_mismatch, identity,
                       index_of, jointly_monic, pairing_is_injective,
                       solve_cross)
 from .internal import (C2Data, DirectedKite, KpcResult, Span, composable_pairs,
-                       kite_from_span, kpc, kpc_swapped, validate_directed_kite)
+                       kite_from_span, kpc, validate_directed_kite)
 from .limits import LocalProduct, SplitCospan, _failed_condition, local_product
 from .report import Report, fails, holds
 
@@ -125,7 +125,32 @@ def solve_m(k: KiteDiagram, cap: int = 1000) -> SolveResult:
                        compose(k.c, compose(k.alpha, k.p1)), cap, "kite-solve")
 
 
-def maltsev_mu(k: KpcResult, p: Callable[[int, int, int], int]) -> FinMap:
+@dataclass(frozen=True)
+class UnitalMultiplication:
+    """A unital multiplication mu: C2 -> C1 on the graph of the kernel pair
+    construction k, c2 its composable pairs; validated once, when built."""
+
+    k: KpcResult
+    c2: C2Data
+    mu: FinMap
+
+    def __post_init__(self):
+        k, c2, mu = self.k, self.c2, self.mu
+        if mu.dom != c2.size or mu.cod != k.size:
+            raise DomainMismatch("mu must go C2 -> C1 of the constructed graph")
+        one = identity(k.size).table
+        if compose(mu, c2.e1).table != one:
+            raise IllTyped("mu e1 != 1 on the triple object")
+        if compose(mu, c2.e2).table != one:
+            raise IllTyped("mu e2 != 1 on the triple object")
+        if compose(k.graph.d, mu).table != compose(k.graph.d, c2.pi2).table:
+            raise IllTyped("dom mu != dom pi2")
+        if compose(k.graph.c, mu).table != compose(k.graph.c, c2.pi1).table:
+            raise IllTyped("cod mu != cod pi1")
+
+
+def maltsev_mu(k: KpcResult,
+               p: Callable[[int, int, int], int]) -> UnitalMultiplication:
     """The multiplication mu(U, V) = p(U, diag(dom U), V), applied
     componentwise to triples, on the graph produced by a kernel pair
     construction.  p must behave as a Mal'tsev operation on the base
@@ -151,55 +176,31 @@ def maltsev_mu(k: KpcResult, p: Callable[[int, int, int], int]) -> FinMap:
         if t is None:
             raise IllTyped(f"mu image {w} leaves the triple object")
         table.append(t)
-    mu = FinMap(c2.size, k.size, tuple(table))
-    _validate_multiplication(k, c2, mu)
-    return mu
-
-
-def _validate_multiplication(k: KpcResult, c2: C2Data, mu: FinMap) -> None:
-    one = identity(k.size).table
-    if compose(mu, c2.e1).table != one:
-        raise IllTyped("mu e1 != 1 on the triple object")
-    if compose(mu, c2.e2).table != one:
-        raise IllTyped("mu e2 != 1 on the triple object")
-    if compose(k.graph.d, mu).table != compose(k.graph.d, c2.pi2).table:
-        raise IllTyped("dom mu != dom pi2")
-    if compose(k.graph.c, mu).table != compose(k.graph.c, c2.pi1).table:
-        raise IllTyped("cod mu != cod pi1")
-
-
-def check_unital_multiplication(k: KpcResult, mu: FinMap) -> Report:
-    c2 = composable_pairs(k.graph)
-    if mu.dom != c2.size or mu.cod != k.size:
-        raise DomainMismatch("mu must go C2 -> C1 of the constructed graph")
-    try:
-        _validate_multiplication(k, c2, mu)
-    except IllTyped as exc:
-        return fails("mu-check", {"equation": str(exc)})
-    return holds("mu-check", ["mu is a unital multiplication"])
+    return UnitalMultiplication(k, c2, FinMap(c2.size, k.size, tuple(table)))
 
 
 @dataclass(frozen=True)
 class ThetaResult:
-    kswap: KpcResult
-    c2: C2Data
     theta: FinMap
     m: FinMap
 
 
-def theta(k: KiteDiagram, mu: FinMap) -> ThetaResult:
+def theta(k: KiteDiagram, mul: UnitalMultiplication) -> ThetaResult:
     """The pairing <<alpha p1, alpha p1, beta>, <beta, gamma p2, gamma p2>>
-    into composable pairs of triples over (D, c, d), and the canonical
-    solution m = mid mu theta."""
+    into the composable pairs of mul, which must be built on the swapped
+    kernel pair construction of (D, d, c), and the solution m = mid mu theta."""
     rep = check_hypotheses(k)
     if not rep.ok:
         raise HypothesisViolation(f"kite hypotheses fail: {rep.witness}")
-    kswap = kpc_swapped(k.span)
-    c2 = composable_pairs(kswap.graph)
-    if mu.dom != c2.size or mu.cod != kswap.size:
+    return _theta(k, mul)
+
+
+def _theta(k: KiteDiagram, mul: UnitalMultiplication) -> ThetaResult:
+    """theta on a kite whose hypotheses are known to hold."""
+    kswap, c2 = mul.k, mul.c2
+    if not kswap.swapped or kswap.span != k.span:
         raise DomainMismatch("mu must be a multiplication on the swapped "
                              "kernel pair construction of (D, d, c)")
-    _validate_multiplication(kswap, c2, mu)
     t_index = index_of(kswap.triples)
     pair_index = index_of(c2.labels)
     ap1 = compose(k.alpha, k.p1)
@@ -217,11 +218,11 @@ def theta(k: KiteDiagram, mu: FinMap) -> ThetaResult:
             raise IllTyped(f"theta components are not composable at {ksi}")
         table.append(pair_index[key])
     th = FinMap(k.E, c2.size, tuple(table))
-    m = compose(kswap.mid, compose(mu, th))
-    return ThetaResult(kswap, c2, th, m)
+    return ThetaResult(th, compose(kswap.mid, compose(mul.mu, th)))
 
 
-def delta_identity_check(k: KiteDiagram, mu_e: FinMap) -> Report:
+def delta_identity_check(k: KiteDiagram,
+                         mul_e: UnitalMultiplication) -> Report:
     """mid mu delta = 1_E, asserted through the two projection
     identities and combined via joint monicity of (p1, p2).  delta is
     theta for the kite of E over itself: legs e1, e1p1e2p2, e2 into the
@@ -232,7 +233,7 @@ def delta_identity_check(k: KiteDiagram, mu_e: FinMap) -> Report:
     over_e = KiteDiagram(k.p1, k.p2, k.e1, k.e2, k.e1,
                          compose(compose(k.e1, k.p1), compose(k.e2, k.p2)),
                          k.e2, k.p2, k.p1)
-    comp = theta(over_e, mu_e).m
+    comp = _theta(over_e, mul_e).m
     for name, lhs, rhs in (
             ("p1 mid mu delta != p1", compose(k.p1, comp), k.p1),
             ("p2 mid mu delta != p2", compose(k.p2, comp), k.p2)):
@@ -322,8 +323,10 @@ def wm_object_check_finset(n: int) -> WmCheck:
                              alpha=one, beta=point, gamma=one)
     res = admissibility_count(kite, cap=2)
     sols = res.solutions[:2]
+    lp = local_product(SplitCospan(bang, point, bang, point))
     verified = (res.count >= 2 and len(sols) == 2
-                and all(_is_admissibility_solution(kite, phi) for phi in sols)
+                and all(compose(phi, lp.e1).table == compose(phi, lp.e2).table
+                        == one.table for phi in sols)
                 and sols[0].table != sols[1].table)
     if not verified:
         raise IllTyped("witness kite failed re-verification")
@@ -334,12 +337,6 @@ def wm_object_check_finset(n: int) -> WmCheck:
                           count=res.count,
                           solutions=tuple(list(s.table) for s in sols)),
                    kite, sols)
-
-
-def _is_admissibility_solution(k: AdmissibilityKite, phi: FinMap) -> bool:
-    lp = local_product(SplitCospan(k.f, k.r, k.g, k.s))
-    return (compose(phi, lp.e1).table == k.alpha.table
-            and compose(phi, lp.e2).table == k.gamma.table)
 
 
 def pregroupoid_solutions(span: Span, cap: int = 1000) -> SolveResult:

@@ -5,6 +5,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .errors import BudgetExceeded
+
 SCHEMA_VERSION = "1.0"
 
 
@@ -58,7 +60,12 @@ def fails(command: str, witness, details=()) -> Report:
 
 
 def counted(command: str, count: int, solutions=(), details=()) -> Report:
-    return Report(command, f"count:{count}", count=count,
+    try:
+        verdict = f"count:{count}"
+    except ValueError:   # past Python's int-to-str digit limit
+        raise BudgetExceeded(f"count of {count.bit_length()} bits exceeds "
+                             "the int-to-str digit limit") from None
+    return Report(command, verdict, count=count,
                   solutions=tuple(solutions), details=tuple(details))
 
 

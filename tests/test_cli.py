@@ -8,8 +8,9 @@ from finkite import algebra
 from finkite.algebra import OpAlgebra, Operation
 from finkite.cli import _commutative_tables, build_parser, main
 from finkite.errors import IllTyped
-from finkite.schemas import dump_algebra, dump_finmap
-from finkite.gallery import cyclic_magma, m3_lattice, meet_semilattice2
+from finkite.schemas import dump_algebra, dump_finmap, dump_maps
+from finkite.gallery import (cyclic_magma, m3_lattice, meet_semilattice2,
+                             terminal_span_kite)
 
 
 def write(tmp_path, name, payload):
@@ -356,6 +357,25 @@ def test_negative_sizes_exit_2_with_one_json_line(capsys):
                                  "exit": 2}
     code, out = run(capsys, "wm-object", "--size", "0")
     assert code == 0 and out["verdict"] == "holds"
+
+
+def test_wm_object_count_past_the_digit_limit_exits_3(capsys):
+    # 52^(51^2) has more decimal digits than Python writes by default
+    code, err = one_json_error(capsys, ["wm-object", "--size", "52"])
+    assert code == 3 and err == {
+        "error": "count of 14827 bits exceeds the int-to-str digit limit",
+        "exit": 3}
+    code, out = run(capsys, "wm-object", "--size", "51")
+    assert code == 1 and out["verdict"] == "fails"
+
+
+def test_kite_solve_count_past_the_digit_limit_exits_3(capsys, tmp_path):
+    path = write(tmp_path, "kite17.json",
+                 dump_maps("kite_diagram", terminal_span_kite(17)))
+    code, err = one_json_error(capsys, ["kite", "solve", path])
+    assert code == 3 and err == {
+        "error": "count of 17789 bits exceeds the int-to-str digit limit",
+        "exit": 3}
 
 
 def test_negative_budgets_exit_2_with_one_json_line(capsys, tmp_path):

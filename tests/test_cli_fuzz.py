@@ -1,21 +1,26 @@
-"""Arbitrary JSON through every file-reading command of the CLI.
+"""Arbitrary JSON through every file-reading command of the CLI, and
+arbitrary flag values through every command that takes one.
 
-Each example writes one file -- a structure of a registry kind with
+Each file example writes one file -- a structure of a registry kind with
 fields that are small finmaps or arbitrary JSON, an unknown kind, or any
-JSON value at all -- and runs each command on it.  Whatever the input,
-`cli.main` returns an exit code in {0, 1, 2, 3} and writes at most one
-line, a JSON object, to stderr; no exception escapes.
+JSON value at all -- and runs each command on it.  Each flag example
+runs one command line with integer flags, sizes past 50 included, on a
+few fixed tiny files.  Whatever the input, `cli.main` returns an exit
+code in {0, 1, 2, 3} and writes at most one line, a JSON object, to
+stderr; no exception escapes.
 """
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from finkite.algebra import VARIETIES
 from finkite.cli import main
-from finkite.schemas import KINDS
+from finkite.gallery import cyclic_magma, meet_semilattice2, terminal_span_kite
+from finkite.schemas import KINDS, dump_algebra, dump_maps
 
 COMMANDS = (["validate"], ["kite", "check"], ["kite", "solve"], ["lp"],
             ["lp-check"], ["pushout-compare"], ["kpc"], ["classify"],
@@ -102,3 +107,57 @@ def test_every_command_ends_in_an_exit_code_and_at_most_one_json_line(
         assert len(lines) <= 1, (command, obj)
         if lines:
             assert isinstance(json.loads(lines[0]), dict), (command, obj)
+
+
+# Flag and argument values through every command that takes one, on a
+# few fixed tiny files; "ALG", "SEMI" and "KITE" stand for their paths.
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+index_lists = st.lists(_ints(-2, 5), max_size=4)
+algebra_files = st.sampled_from(["ALG", "SEMI"])
+argvs = st.one_of(
+    _ints(-3, 70).map(lambda n: ["wm-object", "--size", n]),
+    _ints(-2, 5).map(lambda n: ["equiv23", "--size", n]),
+    st.tuples(algebra_files, _ints(-3, 60)).map(
+        lambda t: ["relations", t[0], "--reflexive", "--budget", t[1]]),
+    st.tuples(algebra_files, _ints(-3, 60)).map(
+        lambda t: ["classify", t[0], "--witness-kite", "--budget", t[1]]),
+    st.tuples(st.sampled_from(["ALG", "SEMI", "KITE"]), _ints(-3, 5)).map(
+        lambda t: ["validate", t[0], "--max-size", t[1]]),
+    _ints(-3, 5).map(lambda c: ["kite", "solve", "KITE", "--cap", c]),
+    st.tuples(algebra_files, _ints(-3, 5), _ints(-3, 5), _ints(-3, 5)).map(
+        lambda t: ["maltsev-op", *t]),
+    st.tuples(index_lists, index_lists, st.booleans()).map(
+        lambda t: ["ismember", "-f", *t[0], "-u", *t[1]]
+        + (["--one-based"] if t[2] else [])))
+
+
+@pytest.fixture(scope="module")
+def fixed_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    paths = {}
+    for name, obj in (("ALG", dump_algebra(cyclic_magma(3))),
+                      ("SEMI", dump_algebra(meet_semilattice2())),
+                      ("KITE", dump_maps("kite_diagram",
+                                         terminal_span_kite(2)))):
+        paths[name] = str(root / f"{name.lower()}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    return paths
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(argv=argvs)
+def test_every_flag_value_ends_in_an_exit_code_and_at_most_one_json_line(
+        fixed_files, argv):
+    argv = [fixed_files.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1, argv
+    if lines:
+        assert isinstance(json.loads(lines[0]), dict), argv

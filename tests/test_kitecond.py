@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from finkite.errors import HypothesisViolation, IllTyped
+from finkite.errors import (DomainMismatch, FinkiteError, HypothesisViolation,
+                            IllTyped)
 from finkite.finmaps import FinMap, compose, identity, jointly_monic, maps
 from finkite.gallery import (group_kite, group_kite_bundle, group_pair_maltsev,
                              group_pair_span, is_associative_table,
@@ -13,7 +14,8 @@ from finkite.gallery import (group_kite, group_kite_bundle, group_pair_maltsev,
 from finkite.internal import (Span, composable_pairs, kite_from_cat,
                               kite_from_rg, kite_from_span, kite_from_umg, kpc,
                               kpc_swapped, umg_multiplications)
-from finkite.kitecond import (AdmissibilityKite, KiteDiagram, admissibility_count,
+from finkite.kitecond import (AdmissibilityKite, KiteDiagram,
+                              UnitalMultiplication, admissibility_count,
                               assemble_kite, check_hypotheses,
                               delta_identity_check, kite5_pairing, maltsev_mu,
                               pregroupoid_solutions, solve_m, theta,
@@ -194,19 +196,50 @@ def test_delta_identity_on_group_kites():
 
 
 def test_theta_rejects_bad_mu():
-    kd, mu, _ = group_kite_bundle(2)
-    bad = FinMap(mu.dom, mu.cod, tuple(0 for _ in range(mu.dom)))
+    # a bad table never becomes a multiplication that theta could take
+    kd, mul, _ = group_kite_bundle(2)
+    bad = FinMap(mul.mu.dom, mul.mu.cod, tuple(0 for _ in range(mul.mu.dom)))
     with pytest.raises(IllTyped):
-        theta(kd, bad)
+        theta(kd, UnitalMultiplication(mul.k, mul.c2, bad))
 
 
-def test_check_unital_multiplication():
-    from finkite.kitecond import check_unital_multiplication
-    kd, mu, _ = group_kite_bundle(2)
+def test_unital_multiplication_validates_when_built():
+    kd, mul, _ = group_kite_bundle(2)
     kswap = kpc_swapped(kd.span)
-    assert check_unital_multiplication(kswap, mu).ok
-    bad = FinMap(mu.dom, mu.cod, (0,) * mu.dom)
-    assert not check_unital_multiplication(kswap, bad).ok
+    c2 = composable_pairs(kswap.graph)
+    assert UnitalMultiplication(kswap, c2, mul.mu) == mul
+    bad = FinMap(mul.mu.dom, mul.mu.cod, (0,) * mul.mu.dom)
+    with pytest.raises(IllTyped, match=r"^mu e1 != 1 on the triple object$"):
+        UnitalMultiplication(kswap, c2, bad)
+    with pytest.raises(DomainMismatch,
+                       match=r"^mu must go C2 -> C1 of the constructed graph$"):
+        UnitalMultiplication(kswap, c2, FinMap(1, mul.mu.cod, (0,)))
+
+
+def test_theta_rejects_a_multiplication_on_another_span():
+    """A multiplication of the right size on the plain construction, or
+    on the swapped construction of the span with its legs interchanged,
+    is not one on the kite's own (D, d, c)."""
+    kd, mul, mul_e = group_kite_bundle(2)
+    span = group_pair_span(2)
+    p = group_pair_maltsev(2)
+    text = (r"^mu must be a multiplication on the swapped kernel pair "
+            r"construction of \(D, d, c\)$")
+    for other in (maltsev_mu(kpc(span), p),
+                  maltsev_mu(kpc_swapped(Span(span.c, span.d)), p)):
+        assert (other.mu.dom, other.mu.cod) == (mul.mu.dom, mul.mu.cod)
+        with pytest.raises(DomainMismatch, match=text):
+            theta(kd, other)
+    with pytest.raises(DomainMismatch, match=text):
+        delta_identity_check(kd, mul)
+    with pytest.raises(DomainMismatch, match=text):
+        theta(kd, mul_e)
+
+
+def test_solve_m_count_past_the_digit_limit_is_a_finkite_error():
+    # 17^(off-cross points) has more digits than str(int) may write
+    with pytest.raises(FinkiteError, match="bits exceeds"):
+        solve_m(terminal_span_kite(17))
 
 
 def test_singleton_theta_delta_forced():
@@ -456,7 +489,8 @@ def recorded_mu(build, k, table, D):
 
 def assert_mu_matches_pairs(span, table):
     for k in (kpc(span), kpc_swapped(span)):
-        assert recorded_mu(maltsev_mu, k, table, span.D) == \
+        assert recorded_mu(lambda k, p: maltsev_mu(k, p).mu, k, table,
+                           span.D) == \
             recorded_mu(maltsev_mu_by_pairs, k, table, span.D)
 
 
@@ -512,4 +546,5 @@ def bundle_from_callable(n):
 
 def test_group_kite_bundle_matches_the_callable_construction():
     for n in (2, 3):
-        assert group_kite_bundle(n) == bundle_from_callable(n)
+        kd, mu, mu_e = group_kite_bundle(n)
+        assert (kd, mu.mu, mu_e.mu) == bundle_from_callable(n)
