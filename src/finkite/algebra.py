@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Optional
 from .errors import (BudgetExceeded, IllTyped, MissingOperation,
                      MultipleSolutions, NoSolution, NotAHomomorphism,
                      UnsupportedVariety)
-from .finmaps import cross_pins, fibres, index_of
+from .finmaps import FinMap, cross_pins, fibres, index_of
+from .limits import LocalProduct, SplitCospan, local_product
 from .report import Report, fails, holds
 
 VARIETIES = ("magma", "cmag", "dimagma", "unary_monoid", "lattice",
@@ -764,16 +765,19 @@ def _product_subalgebra(A: OpAlgebra, C: OpAlgebra, labels) -> OpAlgebra:
     return OpAlgebra(len(labels), ops, "custom")
 
 
+def _local_product(A: OpAlgebra, C: OpAlgebra, f, r, g, s) -> LocalProduct:
+    """The local product of the carriers of A and C over f, r, g and s."""
+    B = len(r)
+    return local_product(SplitCospan(
+        FinMap(A.size, B, f), FinMap(B, A.size, r),
+        FinMap(C.size, B, g), FinMap(B, C.size, s)))
+
+
 def pullback_subalgebra(vk: VarietyKite) -> tuple[OpAlgebra, tuple]:
     """The subalgebra of A x C on pairs (a, c) with f(a) = g(c)."""
-    return _pullback(vk.A, vk.C, vk.f, vk.g)
-
-
-def _pullback(A: OpAlgebra, C: OpAlgebra, f, g) -> tuple[OpAlgebra, tuple]:
-    over = fibres(g)
-    labels = tuple((a, c) for a in range(A.size)
-                   for c in over.get(f[a], ()))
-    return _product_subalgebra(A, C, labels), labels
+    labels = _local_product(vk.A, vk.C, vk.f, vk.r, vk.g,
+                            vk.s).element_labels
+    return _product_subalgebra(vk.A, vk.C, labels), labels
 
 
 @dataclass(frozen=True)
@@ -786,24 +790,24 @@ class VarietySolveResult:
 @dataclass(frozen=True)
 class _AdmissibilityFrame:
     """What the admissibility count needs of a kite besides alpha and
-    gamma, so it serves every kite with the same A, C, D, f, g, r and s:
+    gamma, so it serves every kite with the same A, C, D, f, r, g and s:
     E = A x_B C with its labels, the cross e1 and e2, the size of D, and
     per operation (E table, D table, argument tuples, watch lists)."""
     labels: tuple
-    e1: list
-    e2: list
+    e1: tuple
+    e2: tuple
     size_d: int
     laws: list
 
 
-def _admissibility_frame(A: OpAlgebra, C: OpAlgebra, D: OpAlgebra, f, g, r,
+def _admissibility_frame(A: OpAlgebra, C: OpAlgebra, D: OpAlgebra, f, r, g,
                          s, shapes: dict) -> _AdmissibilityFrame:
-    """The frame of the kites over A, C and D with these f, g, r and s.
+    """The frame of the kites over A, C and D with these f, r, g and s.
     The argument tuples and watch lists depend only on (|E|, arity), so
     they are taken from `shapes` when there and stored there when not;
     nothing changes them once built."""
-    E, labels = _pullback(A, C, f, g)
-    index = index_of(labels)
+    lp = _local_product(A, C, f, r, g, s)
+    E = _product_subalgebra(A, C, lp.element_labels)
     laws = []
     for op in E.ops:    # nullary ops watch nothing: the pins imply them
         shape = shapes.get((E.size, op.arity))
@@ -815,9 +819,8 @@ def _admissibility_frame(A: OpAlgebra, C: OpAlgebra, D: OpAlgebra, f, g, r,
                     watch[x].append(i)
             shape = shapes[E.size, op.arity] = (args, watch)
         laws.append((op.table, D.op_by_symbol(op.symbol).table) + shape)
-    return _AdmissibilityFrame(
-        labels, [index[(a, s[f[a]])] for a in range(A.size)],
-        [index[(r[g[c]], c)] for c in range(C.size)], D.size, laws)
+    return _AdmissibilityFrame(lp.element_labels, lp.e1.table, lp.e2.table,
+                               D.size, laws)
 
 
 def admissibility_count_variety(vk: VarietyKite,
@@ -826,7 +829,7 @@ def admissibility_count_variety(vk: VarietyKite,
     phi e2 = gamma, by backtracking with closure propagation through
     watch lists: assigning x re-checks only the argument tuples holding x.
     Branching on the least unassigned point meets solutions in order."""
-    frame = _admissibility_frame(vk.A, vk.C, vk.D, vk.f, vk.g, vk.r, vk.s,
+    frame = _admissibility_frame(vk.A, vk.C, vk.D, vk.f, vk.r, vk.g, vk.s,
                                  {})
     return _pinned_count(frame, vk.alpha, vk.gamma, cap)
 
@@ -933,8 +936,7 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
     except BudgetExceeded as exc:
         rels = exc.partial or ()
         complete = False
-    side = cache(lambda i: _relation_side(
-        D, *_relation_algebra(D, rels[i].pairs)))
+    side = cache(lambda i: _relation_side(D, rels[i].pairs))
     ident = tuple(range(D.size))
     outcomes: dict = {}       # leg -> homomorphism_witness, for the search
     shapes: dict = {}         # (|E|, arity) -> argument tuples, watch lists
@@ -954,33 +956,19 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
             if _kite_fault(A, D, C, D, legs, outcomes) is not None:
                 continue
             if frame is None:
-                frame = _admissibility_frame(A, C, D, legs[0], legs[3],
-                                             diag_a, diag_c, shapes)
+                frame = _admissibility_frame(A, C, D, legs[0], diag_a,
+                                             legs[3], diag_c, shapes)
             if _pinned_count(frame, legs[4], legs[6], 2).count >= 2:
                 return _WitnessSearch(VarietyKite(A, D, C, D, *legs),
                                       examined, family, complete)
     return _WitnessSearch(None, examined, family, complete)
 
 
-def _relation_algebra(D: OpAlgebra, pairs) -> tuple[OpAlgebra, tuple]:
+def _relation_side(D: OpAlgebra, pairs) -> tuple:
+    """(relation algebra, diagonal section, (first, second projection))
+    of a relation on D, its pairs in lexicographic order."""
     labels = tuple(sorted(pairs))
-    return _product_subalgebra(D, D, labels), labels
-
-
-def _relation_side(D, alg, labels) -> tuple:
-    """(relation algebra, diagonal section, (first, second projection))."""
     index = index_of(labels)
-    return (alg, tuple(index[(x, x)] for x in range(D.size)),
+    return (_product_subalgebra(D, D, labels),
+            tuple(index[(x, x)] for x in range(D.size)),
             (tuple(a for a, _ in labels), tuple(c for _, c in labels)))
-
-
-def _projection_kite(D, alg_a, labels_a, alg_c, labels_c,
-                     fa, gc, aa, gg) -> Optional[VarietyKite]:
-    (_, diag_a, proj_a), (_, diag_c, proj_c) = (
-        _relation_side(D, alg_a, labels_a), _relation_side(D, alg_c, labels_c))
-    try:
-        return VarietyKite(alg_a, D, alg_c, D, proj_a[fa], diag_a, diag_c,
-                           proj_c[gc], proj_a[aa], tuple(range(D.size)),
-                           proj_c[gg])
-    except (IllTyped, NotAHomomorphism):
-        return None

@@ -202,7 +202,10 @@ def solve_cross(e1: FinMap, alpha: FinMap, e2: FinMap, gamma: FinMap,
     fibres, so the count is the product of the fibre sizes and the cost
     O(E + D) before enumeration.  All solutions are listed when there
     are at most cap of them (math.inf lists every one), otherwise only
-    the two least; the report carries at most the two least."""
+    the two least; the report carries at most the two least.  A negative
+    cap is IllTyped."""
+    if cap < 0:
+        raise IllTyped(f"cap must be >= 0, got {cap}")
     pins = cross_pins(e1.table, alpha.table, e2.table, gamma.table)
     if pins is None:
         return SolveResult(0, (), False, counted(command, 0))

@@ -6,7 +6,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from .algebra import OpAlgebra, Operation
-from .finmaps import FinMap, index_of
+from .finmaps import FinMap, compose, index_of
 from .internal import (MultiplicativeGraph, ReflexiveGraph, Span,
                        kite_from_span)
 from .kitecond import KiteDiagram, assemble_kite
@@ -189,7 +189,7 @@ def group_kite_bundle(n: int):
     mu_e on the swapped construction of the span (E, p2, p1), each a
     validated UnitalMultiplication.  Both read the Mal'tsev operation
     from one table of its D^3 values."""
-    from .internal import kpc, kpc_swapped
+    from .internal import kpc_swapped
     from .kitecond import maltsev_mu
 
     span = group_pair_span(n)
@@ -202,11 +202,12 @@ def group_kite_bundle(n: int):
         return table[(i * D + j) * D + k]
 
     mu = maltsev_mu(kpc_swapped(span), p_d)
-    # The points of the kite's E are the kpc triples, in order, with
-    # columns x = dom, y = mid, z = cod; a triple (x, y, z) is coded as
+    # The points of the kite's E are the kpc triples, in order: point i
+    # is (x, y, z) with x = alpha p1, y = beta and z = gamma p2, coded as
     # (x D + y) D + z, the same index arithmetic as the table's.
-    plain = kpc(span)
-    xs, ys, zs = plain.dom.table, plain.mid.table, plain.cod.table
+    xs = compose(kd.alpha, kd.p1).table
+    ys = kd.beta.table
+    zs = compose(kd.gamma, kd.p2).table
     t_index = index_of((x * D + y) * D + z for x, y, z in zip(xs, ys, zs))
 
     def p_e(i: int, j: int, k: int) -> int:

@@ -14,7 +14,7 @@ from typing import Optional
 from .errors import DomainMismatch, IllTyped, NonCommutingSquare
 from .finmaps import (FinMap, compose, fibres, first_mismatch, identity,
                       index_of, solve_cross)
-from .limits import SplitCospan, kernel_pair, local_product, pullback
+from .limits import SplitCospan, kernel_pair, local_product
 from .report import Report, fails, holds
 
 
@@ -102,24 +102,15 @@ class C2Data:
 
 
 def composable_pairs(rg: ReflexiveGraph) -> C2Data:
-    """Pairs (x, y) with d(x) = c(y), lex ordered, with projections and
-    the induced injections e1 = <1, ed> and e2 = <ec, 1>.  The induced
-    injections only exist when d e = 1 = c e, so a non-reflexive graph
-    is rejected here."""
-    pb = pullback(rg.c, rg.d)
-    index = index_of(pb.labels)
-    n = pb.size
-    ed = compose(rg.e, rg.d)
-    ec = compose(rg.e, rg.c)
-    try:
-        e1 = FinMap(rg.C1, n, tuple(index[(x, ed.table[x])]
-                                    for x in range(rg.C1)))
-        e2 = FinMap(rg.C1, n, tuple(index[(ec.table[y], y)]
-                                    for y in range(rg.C1)))
-    except KeyError as exc:
-        raise IllTyped("graph is not reflexive: the canonical injections "
-                       f"into the composable pairs miss at {exc}") from None
-    return C2Data(pb.labels, pb.p1, pb.p2, e1, e2)
+    """The local product of (d, e, c, e): pairs (x, y) with d(x) = c(y),
+    lex ordered, with projections and the injections e1 = <1, ed> and
+    e2 = <ec, 1>.  It exists only when d e = 1 = c e, so any other graph
+    is IllTyped, naming the first law that fails."""
+    rep = validate_reflexive_graph(rg)
+    if not rep.ok:
+        raise IllTyped(f"graph is not reflexive: {rep.witness}")
+    lp = local_product(SplitCospan(rg.d, rg.e, rg.c, rg.e))
+    return C2Data(lp.element_labels, lp.p1, lp.p2, lp.e1, lp.e2)
 
 
 @dataclass(frozen=True)
@@ -136,9 +127,8 @@ class MultiplicativeGraph:
 
 
 def validate_multiplicative_graph(mg: MultiplicativeGraph) -> Report:
-    rep = validate_reflexive_graph(mg.rg)
-    if not rep.ok:
-        return rep
+    """d m = d pi2 and c m = c pi1; d e = 1 = c e already hold, since
+    composable_pairs rejects any other graph."""
     d, c, c2 = mg.rg.d, mg.rg.c, mg.c2
     return _first_violation(
         (("d m = d pi2", compose(d, mg.m), compose(d, c2.pi2)),
@@ -234,23 +224,21 @@ class KpcResult:
 
 
 def _kpc_generic(span: Span, first: FinMap, second: FinMap, swapped: bool) -> KpcResult:
-    # The kernel pairs of first and second, and the triples as their
-    # pairs (x, y) and (y, z) joined on y.
-    kf, ks = pullback(first, first), pullback(second, second)
-    pb = pullback(ks.p1, kf.p2)
-    triples = tuple([kf.labels[i] + (ks.labels[j][1],) for i, j in pb.labels])
-    t_index = index_of(triples)
-    n = len(triples)
-    e1 = FinMap(kf.size, n, tuple(t_index[(x, y, y)] for x, y in kf.labels))
-    e2 = FinMap(ks.size, n, tuple(t_index[(y, y, z)] for y, z in ks.labels))
-    proj_x = compose(kf.p1, pb.p1)
-    proj_y = compose(kf.p2, pb.p1)
-    proj_z = compose(ks.p2, pb.p2)
-    delta = FinMap(span.D, n, tuple(t_index[(w, w, w)] for w in range(span.D)))
+    # The triples are the local product of the kernel pairs of first and
+    # second over D, split by their diagonals: pairs (x, y) and (y, z)
+    # joined on y, with e1 (x, y) = (x, y, y) and e2 (y, z) = (y, y, z).
+    kf, ks = kernel_pair(first), kernel_pair(second)
+    lp = local_product(SplitCospan(kf.p2, kf.diagonal, ks.p1, ks.diagonal))
+    triples = tuple([kf.pairs[i] + (ks.pairs[j][1],)
+                     for i, j in lp.element_labels])
+    proj_x = compose(kf.p1, lp.p1)
+    proj_y = compose(kf.p2, lp.p1)
+    proj_z = compose(ks.p2, lp.p2)
+    delta = compose(lp.e1, kf.diagonal)
     dom, cod = (proj_z, proj_x) if swapped else (proj_x, proj_z)
     graph = ReflexiveGraph(dom, cod, delta)
-    return KpcResult(span, swapped, triples, kf.labels, ks.labels,
-                     kf.p1, kf.p2, ks.p1, ks.p2, pb.p1, pb.p2, e1, e2,
+    return KpcResult(span, swapped, triples, kf.pairs, ks.pairs,
+                     kf.p1, kf.p2, ks.p1, ks.p2, lp.p1, lp.p2, lp.e1, lp.e2,
                      dom, proj_y, cod, delta, graph)
 
 

@@ -8,16 +8,16 @@ solution count is the product of the remaining fibre sizes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import DomainMismatch, HypothesisViolation, IllTyped
 from .finmaps import (FinMap, SolveResult, compose, first_mismatch, identity,
-                      index_of, jointly_monic, pairing_is_injective,
-                      solve_cross)
+                      index_of, jointly_monic, solve_cross)
 from .internal import (C2Data, DirectedKite, KpcResult, Span, composable_pairs,
                        kite_from_span, kpc, validate_directed_kite)
-from .limits import LocalProduct, SplitCospan, _failed_condition, local_product
+from .limits import (LocalProduct, SplitCospan, _failed_condition,
+                     _failed_conditions_1_to_3, local_product)
 from .report import Report, fails, holds
 
 
@@ -87,21 +87,13 @@ def check_hypotheses(k: KiteDiagram) -> Report:
     """Conditions (1)-(5) elementwise; the kernel pair construction
     always exists in finite sets, so (6) is reported as automatic."""
     cmd = "kite-check"
-    e1p1 = compose(k.e1, k.p1)
-    e2p2 = compose(k.e2, k.p2)
-    rep = _failed_condition(cmd, (
-        (1, "p1 e1 != 1_A", compose(k.p1, k.e1), identity(k.A)),
-        (1, "p2 e2 != 1_C", compose(k.p2, k.e2), identity(k.C)),
-        (2, "(e1p1)(e2p2) != (e2p2)(e1p1)", compose(e1p1, e2p2),
-         compose(e2p2, e1p1))))
+    rep = _failed_conditions_1_to_3(cmd, "(e1p1)(e2p2) != (e2p2)(e1p1)",
+                                    k.p1, k.p2, k.e1, k.e2)
     if rep is not None:
         return rep
-    clash = pairing_is_injective(k.p1, k.p2)
-    if clash is not None:
-        return fails(cmd, {"condition": 3, "elements": list(clash)},
-                     ["(p1, p2) is not jointly monic"])
-    a_leg = compose(k.alpha, compose(k.p1, e2p2))
-    g_leg = compose(k.gamma, compose(k.p2, e1p1))
+    # alpha p1 e2 p2 and gamma p2 e1 p1, composed on A and C first.
+    a_leg = compose(compose(k.alpha, compose(k.p1, k.e2)), k.p2)
+    g_leg = compose(compose(k.gamma, compose(k.p2, k.e1)), k.p1)
     return _failed_condition(cmd, (
         (4, "alpha p1 e2 p2 != beta", a_leg, k.beta),
         (4, "gamma p2 e1 p1 != beta", g_leg, k.beta),
@@ -253,7 +245,8 @@ def delta_identity_check(k: KiteDiagram,
 
 @dataclass(frozen=True)
 class AdmissibilityKite:
-    """The undirected kite of the weakly-Mal'tsev-object definition."""
+    """The undirected kite of the weakly-Mal'tsev-object definition,
+    with lp its local product A x_B C, built once when it is."""
 
     f: FinMap
     r: FinMap
@@ -262,6 +255,7 @@ class AdmissibilityKite:
     alpha: FinMap
     beta: FinMap
     gamma: FinMap
+    lp: LocalProduct = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         A, B, C = self.f.dom, self.f.cod, self.g.dom
@@ -281,6 +275,8 @@ class AdmissibilityKite:
             raise IllTyped("alpha r != beta")
         if compose(self.gamma, self.s).table != self.beta.table:
             raise IllTyped("gamma s != beta")
+        object.__setattr__(self, "lp", local_product(
+            SplitCospan(self.f, self.r, self.g, self.s)))
 
     @property
     def D(self) -> int:
@@ -291,7 +287,7 @@ def admissibility_count(k: AdmissibilityKite, cap: int = 1000) -> SolveResult:
     """Count phi: A x_B C -> D with phi e1 = alpha and phi e2 = gamma:
     the kite equations over the terminal span D -> 1, whose one fibre
     leaves every off-cross point free."""
-    lp = local_product(SplitCospan(k.f, k.r, k.g, k.s))
+    lp = k.lp
     bang_d, bang_e = FinMap(k.D, 1, (0,) * k.D), FinMap(lp.E, 1, (0,) * lp.E)
     return solve_cross(lp.e1, k.alpha, lp.e2, k.gamma, bang_d, bang_d,
                        bang_e, bang_e, cap, "admissibility")
@@ -323,9 +319,9 @@ def wm_object_check_finset(n: int) -> WmCheck:
                              alpha=one, beta=point, gamma=one)
     res = admissibility_count(kite, cap=2)
     sols = res.solutions[:2]
-    lp = local_product(SplitCospan(bang, point, bang, point))
+    e1, e2 = kite.lp.e1, kite.lp.e2
     verified = (res.count >= 2 and len(sols) == 2
-                and all(compose(phi, lp.e1).table == compose(phi, lp.e2).table
+                and all(compose(phi, e1).table == compose(phi, e2).table
                         == one.table for phi in sols)
                 and sols[0].table != sols[1].table)
     if not verified:

@@ -61,9 +61,10 @@ class SplitCospan:
             raise DomainMismatch("r must go B -> A")
         if self.s.dom != self.g.cod or self.s.cod != self.g.dom:
             raise DomainMismatch("s must go B -> C")
-        if compose(self.f, self.r).table != identity(self.f.cod).table:
+        one = tuple(range(self.f.cod))
+        if tuple(map(self.f.table.__getitem__, self.r.table)) != one:
             raise InvalidSplitting("f r is not the identity on B")
-        if compose(self.g, self.s).table != identity(self.g.cod).table:
+        if tuple(map(self.g.table.__getitem__, self.s.table)) != one:
             raise InvalidSplitting("g s is not the identity on B")
 
     @property
@@ -93,24 +94,25 @@ class LocalProduct:
 
 
 def local_product(sc: SplitCospan) -> LocalProduct:
+    """A x_B C with its injections e1 = <1, sf> and e2 = <rg, 1>; every
+    labelled local product in finkite (composable pairs, kpc triples,
+    admissibility apexes) is built here."""
     pb = pullback(sc.g, sc.f)
-    index = index_of(pb.labels)
-    sf = compose(sc.s, sc.f)
-    rg = compose(sc.r, sc.g)
-    e1 = FinMap(sc.A, pb.size, tuple(index[(a, sf.table[a])] for a in range(sc.A)))
-    e2 = FinMap(sc.C, pb.size, tuple(index[(rg.table[c], c)] for c in range(sc.C)))
+    at = index_of(pb.labels).__getitem__
+    sf = map(sc.s.table.__getitem__, sc.f.table)
+    rg = map(sc.r.table.__getitem__, sc.g.table)
+    e1 = FinMap(sc.A, pb.size, tuple(map(at, zip(range(sc.A), sf))))
+    e2 = FinMap(sc.C, pb.size, tuple(map(at, zip(rg, range(sc.C)))))
     return LocalProduct(pb.size, pb.labels, pb.p1, pb.p2, e1, e2, sc)
 
 
 def kernel_pair(h: FinMap):
     """Pairs (x, y) with h(x) = h(y), projections, and the diagonal."""
     pb = pullback(h, h)
-    diag = [0] * h.dom
-    for i, (x, y) in enumerate(pb.labels):
-        if x == y:
-            diag[x] = i
+    # The labels run through x in order, and (x, x) once for each x.
+    diag = tuple([i for i, (x, y) in enumerate(pb.labels) if x == y])
     return KernelPairData(pb.labels, pb.p1, pb.p2,
-                          FinMap(h.dom, pb.size, tuple(diag)))
+                          FinMap(h.dom, pb.size, diag))
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,28 @@ def _failed_condition(cmd: str, checks) -> Optional[Report]:
     return None
 
 
+def _failed_conditions_1_to_3(cmd: str, commute: str, p1: FinMap, p2: FinMap,
+                              e1: FinMap, e2: FinMap) -> Optional[Report]:
+    """The failing report of the first of conditions 1-3 of a local
+    product that (p1, p2, e1, e2) breaks, or None: p1 e1 and p2 e2 are
+    identities, the idempotents e1p1 and e2p2 commute (the failure named
+    `commute`, as the calling command words it), and (p1, p2) is jointly
+    monic."""
+    e1p1 = compose(e1, p1)
+    e2p2 = compose(e2, p2)
+    rep = _failed_condition(cmd, (
+        (1, "p1 e1 != 1_A", compose(p1, e1), identity(p1.cod)),
+        (1, "p2 e2 != 1_C", compose(p2, e2), identity(p2.cod)),
+        (2, commute, compose(e1p1, e2p2), compose(e2p2, e1p1))))
+    if rep is not None:
+        return rep
+    clash = pairing_is_injective(p1, p2)
+    if clash is not None:
+        return fails(cmd, {"condition": 3, "elements": list(clash)},
+                     ["(p1, p2) is not jointly monic"])
+    return None
+
+
 def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
                                   e1: FinMap, e2: FinMap) -> IntrinsicCheck:
     """Decide whether (p1, p2, e1, e2) is a local product, intrinsically.
@@ -156,22 +180,13 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
     E, A, C = p1.dom, p1.cod, p2.cod
     if p2.dom != E or e1.dom != A or e1.cod != E or e2.dom != C or e2.cod != E:
         raise DomainMismatch("diagram maps are not type-compatible")
-    e1p1 = compose(e1, p1)
-    e2p2 = compose(e2, p2)
-    rep = _failed_condition(cmd, (
-        (1, "p1 e1 != 1_A", compose(p1, e1), identity(A)),
-        (1, "p2 e2 != 1_C", compose(p2, e2), identity(C)),
-        (2, "e1p1 e2p2 != e2p2 e1p1", compose(e1p1, e2p2), compose(e2p2, e1p1))))
+    rep = _failed_conditions_1_to_3(cmd, "e1p1 e2p2 != e2p2 e1p1",
+                                    p1, p2, e1, e2)
     if rep is not None:
         return IntrinsicCheck(rep, None, None, None)
     details = ["condition 1 holds: p1 e1 = 1_A, p2 e2 = 1_C",
-               "condition 2 holds: the idempotents e1p1 and e2p2 commute"]
-
-    clash = pairing_is_injective(p1, p2)
-    if clash is not None:
-        return IntrinsicCheck(fails(cmd, {"condition": 3, "elements": list(clash)},
-                                    ["(p1, p2) is not jointly monic"]), None, None, None)
-    details.append("condition 3 holds: (p1, p2) jointly monic")
+               "condition 2 holds: the idempotents e1p1 and e2p2 commute",
+               "condition 3 holds: (p1, p2) jointly monic"]
 
     # Condition 4 on one-point stages: each compatible pair (a, c) must be
     # hit by some element of E (uniqueness already follows from 3).  The
@@ -238,19 +253,12 @@ class Pushout:
     class_labels: tuple[tuple[str, int], ...]
 
 
-def pushout_split_mono(r: FinMap, s: FinMap,
-                       f: Optional[FinMap] = None,
-                       g: Optional[FinMap] = None) -> Pushout:
-    """Pushout of the span (B, r, s): disjoint union of A and C glued
-    along r(b) ~ s(b).  Classes are labelled by their least representative,
-    A-side first."""
-    if r.dom != s.dom:
-        raise DomainMismatch("r and s must share their domain B")
-    if f is not None and compose(f, r).table != identity(r.dom).table:
-        raise InvalidSplitting("r is not split by f")
-    if g is not None and compose(g, s).table != identity(s.dom).table:
-        raise InvalidSplitting("s is not split by g")
-    nA, nC = r.cod, s.cod
+def pushout_split_mono(sc: SplitCospan) -> Pushout:
+    """Pushout of the span (B, r, s) of sections of the split cospan:
+    disjoint union of A and C glued along r(b) ~ s(b).  Classes are
+    labelled by their least representative, A-side first."""
+    r, s = sc.r, sc.s
+    nA, nC = sc.A, sc.C
     parent = list(range(nA + nC))
 
     def find(x):
@@ -276,7 +284,7 @@ def pushout_split_mono(r: FinMap, s: FinMap,
 
 def local_coproduct_compare(lp: LocalProduct) -> Report:
     """Whether the canonical map A +_B C -> A x_B C is a bijection."""
-    po = pushout_split_mono(lp.source.r, lp.source.s, lp.source.f, lp.source.g)
+    po = pushout_split_mono(lp.source)
     # class of a -> e1(a), class of c -> e2(c); well defined since e1 r = e2 s.
     target = [None] * po.size
     details = [f"pushout size {po.size}", f"local product size {lp.E}"]

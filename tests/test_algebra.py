@@ -34,6 +34,21 @@ def left_projection_magma():
     return OpAlgebra(2, (Operation("*", 2, (0, 0, 1, 1)),), "magma")
 
 
+def relation_side(D, rel):
+    return algebra._relation_side(D, rel.pairs)
+
+
+def projection_kite(D, side_a, side_c, fa, gc, aa, gg):
+    """The kite of the witness search's projection family over the
+    relation sides side_a and side_c, or None when VarietyKite rejects it."""
+    (A, diag_a, proj_a), (C, diag_c, proj_c) = side_a, side_c
+    try:
+        return VarietyKite(A, D, C, D, proj_a[fa], diag_a, diag_c, proj_c[gc],
+                           proj_a[aa], tuple(range(D.size)), proj_c[gg])
+    except (IllTyped, NotAHomomorphism):
+        return None
+
+
 def test_commutative_and_medial():
     z3 = cyclic_magma(3)
     assert check_commutative(z3).ok
@@ -240,10 +255,9 @@ def test_variety_kite_witness_for_meet_semilattice():
 def test_variety_kite_count_bounded_for_cancellative_groups():
     z3 = cyclic_magma(3)
     rels = reflexive_relations(z3)
-    from finkite.algebra import _projection_kite, _relation_algebra
     for rel in rels:
-        alg, labels = _relation_algebra(z3, rel.pairs)
-        kite = _projection_kite(z3, alg, labels, alg, labels, 0, 1, 1, 0)
+        side = relation_side(z3, rel)
+        kite = projection_kite(z3, side, side, 0, 1, 1, 0)
         if kite is None:
             continue
         assert admissibility_count_variety(kite, cap=10).count <= 1
@@ -253,8 +267,6 @@ def test_cancellative_magmas_admit_at_most_one_admissibility_morphism():
     """Projection kites over subalgebras of D x D never carry two
     admissibility morphisms when D is a cancellative commutative magma;
     sampled over all such D of size <= 3."""
-    from finkite.algebra import _projection_kite, _relation_algebra
-
     def commutative_tables(n):
         cells = [(i, j) for i in range(n) for j in range(i, n)]
         for values in product(range(n), repeat=len(cells)):
@@ -271,10 +283,9 @@ def test_cancellative_magmas_admit_at_most_one_admissibility_morphism():
                 continue
             rels = reflexive_relations(D, budget=500)
             for rel in rels[:3]:
-                alg, labels = _relation_algebra(D, rel.pairs)
+                side = relation_side(D, rel)
                 for fa, gc in ((0, 1), (1, 0)):
-                    kite = _projection_kite(D, alg, labels, alg, labels,
-                                            fa, gc, gc, fa)
+                    kite = projection_kite(D, side, side, fa, gc, gc, fa)
                     if kite is None:
                         continue
                     assert admissibility_count_variety(kite, cap=5).count <= 1
@@ -560,12 +571,10 @@ def projection_kites(draw):
     D = draw(small_algebras())
     rels = reflexive_relations(D)
     rel_a, rel_c = draw(st.sampled_from(rels)), draw(st.sampled_from(rels))
-    alg_a, labels_a = algebra._relation_algebra(D, rel_a.pairs)
-    alg_c, labels_c = algebra._relation_algebra(D, rel_c.pairs)
-    assert alg_a == oracle_product_subalgebra(D, D, labels_a)
+    side_a, side_c = relation_side(D, rel_a), relation_side(D, rel_c)
+    assert side_a[0] == oracle_product_subalgebra(D, D, sorted(rel_a.pairs))
     legs = draw(st.tuples(*[st.integers(0, 1)] * 4))
-    kite = algebra._projection_kite(D, alg_a, labels_a, alg_c, labels_c,
-                                    *legs)
+    kite = projection_kite(D, side_a, side_c, *legs)
     assume(kite is not None)
     return kite
 
@@ -641,13 +650,13 @@ def test_admissibility_search_leaves_no_reference_cycles():
 
 def test_wm_witness_search_builds_each_relation_algebra_once(monkeypatch):
     built = []
-    build = algebra._relation_algebra
+    build = algebra._relation_side
 
     def counting(D, pairs):
         built.append(tuple(pairs))
         return build(D, pairs)
 
-    monkeypatch.setattr(algebra, "_relation_algebra", counting)
+    monkeypatch.setattr(algebra, "_relation_side", counting)
     D = chain_lattice(3)
     assert wm_witness_search(D) is None
     assert sorted(built) == sorted(r.pairs for r in reflexive_relations(D))
@@ -704,14 +713,13 @@ def reference_wm_witness_search(D, budget=2000):
     examined = 0
     for ia in range(len(rels)):
         for ic in range(len(rels)):
-            alg_a, labels_a = algebra._relation_algebra(D, rels[ia].pairs)
-            alg_c, labels_c = algebra._relation_algebra(D, rels[ic].pairs)
+            side_a = relation_side(D, rels[ia])
+            side_c = relation_side(D, rels[ic])
             for fa, gc, aa, gg in product((0, 1), repeat=4):
                 examined += 1
                 if examined > budget:
                     return None
-                kite = algebra._projection_kite(D, alg_a, labels_a, alg_c,
-                                                labels_c, fa, gc, aa, gg)
+                kite = projection_kite(D, side_a, side_c, fa, gc, aa, gg)
                 if kite is not None and \
                    admissibility_count_variety(kite, cap=2).count >= 2:
                     return kite
@@ -738,19 +746,13 @@ def test_mirror_kites_agree_on_validity_and_count(D, data):
     rels = reflexive_relations(D)
     ia, ic = (data.draw(st.integers(0, len(rels) - 1)) for _ in range(2))
     fa, gc, aa, gg = data.draw(st.tuples(*[st.integers(0, 1)] * 4))
-    rel_a = algebra._relation_algebra(D, rels[ia].pairs)
-    rel_c = algebra._relation_algebra(D, rels[ic].pairs)
-    kite = algebra._projection_kite(D, *rel_a, *rel_c, fa, gc, aa, gg)
-    mirror = algebra._projection_kite(D, *rel_c, *rel_a, gc, fa, gg, aa)
+    side_a, side_c = relation_side(D, rels[ia]), relation_side(D, rels[ic])
+    kite = projection_kite(D, side_a, side_c, fa, gc, aa, gg)
+    mirror = projection_kite(D, side_c, side_a, gc, fa, gg, aa)
     assert (kite is None) == (mirror is None)
     if kite is not None:
         assert admissibility_count_variety(kite).count == \
             admissibility_count_variety(mirror).count
-
-
-def relation_side(D, rel):
-    return algebra._relation_side(
-        D, *algebra._relation_algebra(D, rel.pairs))
 
 
 LEGS = ("f", "r", "s", "g", "alpha", "beta", "gamma")
@@ -904,8 +906,9 @@ def test_closure_kernel_on_empty_and_one_point_carriers(A):
     for budget in range(4):
         assert outcome(reflexive_relations, A, budget) == \
             outcome(naive_reflexive_relations, A, budget)
-    alg, labels = algebra._relation_algebra(A, relation_closure(A, ()))
-    assert alg == oracle_product_subalgebra(A, A, labels)
+    pairs = relation_closure(A, ())
+    assert algebra._relation_side(A, pairs)[0] == \
+        oracle_product_subalgebra(A, A, sorted(pairs))
 
 
 def test_negative_budgets_are_ill_typed_and_zero_is_valid():
@@ -1307,3 +1310,29 @@ def test_no_apply_call_is_left_outside_opalgebra_apply():
                     node.func.attr == "apply":
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_no_module_in_the_library_has_an_unused_import():
+    """Every name a finkite module imports is read somewhere in it.
+    `from __future__` imports and the re-exports of `__init__` are the
+    exceptions."""
+    unused = []
+    for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in sorted(imported.items())
+                   if name not in read]
+    assert unused == []

@@ -459,3 +459,78 @@ def test_kite_commands_on_a_non_object_exit_2_with_one_json_line(
         assert len(lines) == 1
         assert json.loads(lines[0])["error"].startswith(
             "kite_diagram: expected an object")
+
+
+def test_negative_cap_exits_2_with_one_json_line(capsys, tmp_path):
+    path = write(tmp_path, "k2.json",
+                 dump_maps("kite_diagram", terminal_span_kite(2)))
+    code, err = one_json_error(capsys, ["kite", "solve", path, "--cap", "-1"])
+    assert code == 2 and err == {"error": "cap must be >= 0, got -1",
+                                 "exit": 2}
+    code, out = run(capsys, "kite", "solve", path, "--cap", "0")
+    assert code == 0 and out["count"] == 4 and len(out["solutions"]) == 2
+
+
+def finmap(dom, cod, table):
+    return {"dom": dom, "cod": cod, "table": table}
+
+
+# (p1, p2, e1, e2) breaking one of conditions 1-3 of a local product, and
+# the failing texts of lp-check and kite check; kite check sees them with
+# every leg into a one-point D.
+CONDITION_FAILURES = [
+    ((finmap(2, 2, [0, 0]), finmap(2, 1, [0, 0]), finmap(2, 2, [0, 0]),
+      finmap(1, 2, [0])),
+     '"details": ["p1 e1 != 1_A"]', '"details": ["p1 e1 != 1_A"]',
+     '"witness": {"condition": 1, "element": 1}'),
+    ((finmap(2, 1, [0, 0]), finmap(2, 2, [0, 0]), finmap(1, 2, [0]),
+      finmap(2, 2, [0, 0])),
+     '"details": ["p2 e2 != 1_C"]', '"details": ["p2 e2 != 1_C"]',
+     '"witness": {"condition": 1, "element": 1}'),
+    ((finmap(3, 2, [0, 0, 1]), finmap(3, 2, [0, 0, 1]), finmap(2, 3, [0, 2]),
+      finmap(2, 3, [1, 2])),
+     '"details": ["e1p1 e2p2 != e2p2 e1p1"]',
+     '"details": ["(e1p1)(e2p2) != (e2p2)(e1p1)"]',
+     '"witness": {"condition": 2, "element": 0}'),
+    ((finmap(3, 2, [0, 0, 1]), finmap(3, 2, [0, 0, 1]), finmap(2, 3, [0, 2]),
+      finmap(2, 3, [0, 2])),
+     '"details": ["(p1, p2) is not jointly monic"]',
+     '"details": ["(p1, p2) is not jointly monic"]',
+     '"witness": {"condition": 3, "elements": [0, 1]}'),
+]
+
+
+@pytest.mark.parametrize("maps,lp_text,kite_text,witness", CONDITION_FAILURES,
+                         ids=["1-p1e1", "1-p2e2", "2", "3"])
+def test_lp_check_and_kite_check_reports_on_conditions_1_to_3(
+        capsys, tmp_path, maps, lp_text, kite_text, witness):
+    p1, p2, e1, e2 = maps
+    lp = {"kind": "lp_diagram", "p1": p1, "p2": p2, "e1": e1, "e2": e2}
+    point = {n: finmap(size, 1, [0] * size) for n, size in
+             (("alpha", e1["dom"]), ("beta", p1["dom"]),
+              ("gamma", e2["dom"]))}
+    kite = {**lp, "kind": "kite_diagram", **point,
+            "d": finmap(1, 1, [0]), "c": finmap(1, 1, [0])}
+    for argv, name, text in (
+            (["lp-check", write(tmp_path, "lp.json", lp)], "lp-check",
+             lp_text),
+            (["kite", "check", write(tmp_path, "kite.json", kite)],
+             "kite-check", kite_text)):
+        assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            f'{{"command": "{name}", {text}, "verdict": "fails", '
+            f'"version": "1.0", {witness}}}\n')
+
+
+def test_validate_rejects_a_multiplicative_graph_with_d_e_not_1(capsys,
+                                                                 tmp_path):
+    # C1 = 1 and C0 = 2, so d e = (0, 0) misses the identity at 1; the
+    # composable pairs, which need d e = 1 = c e, refuse the graph.
+    path = write(tmp_path, "mg.json", {
+        "kind": "multiplicative_graph", "d": finmap(1, 2, [0]),
+        "c": finmap(1, 2, [0]), "e": finmap(2, 1, [0, 0]),
+        "m": finmap(1, 1, [0])})
+    code, out = run(capsys, "validate", path)
+    assert code == 1 and out["witness"] == {
+        "violation": "graph is not reflexive: "
+                     "{'equation': 'd e = 1', 'element': 1}"}

@@ -14,7 +14,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from finkite.algebra import VARIETIES
@@ -150,6 +150,7 @@ def fixed_files(tmp_path_factory):
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(argv=argvs)
+@example(argv=["kite", "solve", "KITE", "--cap", "-1"])
 def test_every_flag_value_ends_in_an_exit_code_and_at_most_one_json_line(
         fixed_files, argv):
     argv = [fixed_files.get(a, a) for a in argv]
@@ -161,3 +162,5 @@ def test_every_flag_value_ends_in_an_exit_code_and_at_most_one_json_line(
     assert len(lines) <= 1, argv
     if lines:
         assert isinstance(json.loads(lines[0]), dict), argv
+    if argv[:2] == ["kite", "solve"] and int(argv[-1]) < 0:
+        assert (code, len(lines)) == (2, 1), argv

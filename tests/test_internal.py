@@ -295,8 +295,17 @@ def spans(max_apex=5, max_base=3):
 
 @st.composite
 def graphs(draw, max_objects=2, max_extra=3):
-    """Reflexive graphs, and some with one endpoint entry changed."""
+    """Reflexive graphs, and some with one endpoint entry changed; also
+    some with any e at all, not always injective, so d e = 1 and c e = 1
+    can fail without an endpoint entry changed."""
     n0 = draw(st.integers(1, max_objects))
+    if draw(st.integers(0, 3)) == 0:
+        n1 = draw(st.integers(1, n0 + max_extra))
+
+        def table(dom, cod):
+            return FinMap(dom, cod, tuple(draw(st.lists(
+                st.integers(0, cod - 1), min_size=dom, max_size=dom))))
+        return ReflexiveGraph(table(n1, n0), table(n1, n0), table(n0, n1))
     n1 = n0 + draw(st.integers(0, max_extra))
     e = draw(st.permutations(range(n1)))[:n0]
     d = draw(st.lists(st.integers(0, n0 - 1), min_size=n1, max_size=n1))
@@ -313,16 +322,16 @@ def graphs(draw, max_objects=2, max_extra=3):
 @given(graphs())
 @settings(max_examples=150, deadline=None)
 def test_composable_pairs_match_nested_loop(rg):
+    if any(rg.d.table[rg.e.table[y]] != y or rg.c.table[rg.e.table[y]] != y
+           for y in range(rg.C0)):
+        with pytest.raises(IllTyped, match="graph is not reflexive"):
+            composable_pairs(rg)
+        return
     labels = nested_composable_pairs(rg)
     ed = [rg.e.table[rg.d.table[x]] for x in range(rg.C1)]
     ec = [rg.e.table[rg.c.table[y]] for y in range(rg.C1)]
-    try:
-        e1 = [labels.index((x, ed[x])) for x in range(rg.C1)]
-        e2 = [labels.index((ec[y], y)) for y in range(rg.C1)]
-    except ValueError:
-        with pytest.raises(IllTyped):
-            composable_pairs(rg)
-        return
+    e1 = [labels.index((x, ed[x])) for x in range(rg.C1)]
+    e2 = [labels.index((ec[y], y)) for y in range(rg.C1)]
     c2 = composable_pairs(rg)
     assert list(c2.labels) == labels
     assert c2.pi1.table == tuple(x for x, _ in labels)
@@ -345,6 +354,19 @@ def test_kpc_matches_nested_loop(span, swapped):
     assert (k.p1.dom, k.p1.cod) == (k.size, len(want["pairs_first"]))
     assert (k.p2.dom, k.p2.cod) == (k.size, len(want["pairs_second"]))
     assert k.graph == ReflexiveGraph(k.dom, k.cod, k.delta)
+
+
+def test_composable_pairs_reject_a_graph_with_d_e_not_1():
+    # d e = (0, 0) misses the identity at 1, though both injections would
+    # find their pairs: C2 is the one pair (0, 0).
+    rg = ReflexiveGraph(FinMap(1, 2, (0,)), FinMap(1, 2, (0,)),
+                        FinMap(2, 1, (0, 0)))
+    with pytest.raises(IllTyped) as info:
+        composable_pairs(rg)
+    assert str(info.value) == \
+        "graph is not reflexive: {'equation': 'd e = 1', 'element': 1}"
+    with pytest.raises(IllTyped):
+        MultiplicativeGraph(rg, FinMap(1, 1, (0,)))
 
 
 def brute_umg(rg):

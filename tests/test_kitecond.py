@@ -548,3 +548,20 @@ def test_group_kite_bundle_matches_the_callable_construction():
     for n in (2, 3):
         kd, mu, mu_e = group_kite_bundle(n)
         assert (kd, mu.mu, mu_e.mu) == bundle_from_callable(n)
+
+
+def test_every_solver_refuses_a_negative_cap():
+    span = group_pair_span(2)
+    witness = wm_object_check_finset(2).witness
+    for solve in (lambda cap: solve_m(terminal_span_kite(2), cap),
+                  lambda cap: pregroupoid_solutions(span, cap),
+                  lambda cap: admissibility_count(witness, cap)):
+        with pytest.raises(IllTyped, match="cap must be >= 0, got -1"):
+            solve(-1)
+        assert solve(0).count >= 1
+
+
+def test_admissibility_kite_carries_its_local_product():
+    kite = wm_object_check_finset(3).witness
+    bang, point = FinMap(3, 1, (0,) * 3), FinMap(1, 3, (0,))
+    assert kite.lp == local_product(SplitCospan(bang, point, bang, point))

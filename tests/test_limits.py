@@ -133,7 +133,7 @@ def test_pushout_and_coproduct_compare():
     bang = FinMap(2, 1, (0, 0))
     point = FinMap(1, 2, (0,))
     lp = local_product(SplitCospan(bang, point, bang, point))
-    po = pushout_split_mono(point, point, bang, bang)
+    po = pushout_split_mono(lp.source)
     assert po.size == 3  # 2 + 2 - 1
     rep = local_coproduct_compare(lp)
     assert not rep.ok
