@@ -545,13 +545,9 @@ def unary_monoid_from_group(A: OpAlgebra) -> OpAlgebra:
                      "unary_monoid")
 
 
-def equivalence_2_3_check(A: OpAlgebra) -> Report:
-    """Sanity oracle: cancellation agrees with the at-most-one-solution
-    condition, both computed independently."""
-    op = binary_op(A)
-    if _is_commutative(A, op) is not None:
-        raise IllTyped("equivalence check needs a commutative operation")
-    n, t = A.size, op.table
+def _equiv23_conditions(t, n: int) -> tuple[bool, bool]:
+    """Conditions (2) and (3) on the flat n x n table t of a commutative
+    operation, each computed from t on its own."""
     cond2 = _columns_injective(t, n)          # (2): x * b = y * b forces x = y
     # (3): no target a * c, a value of t, occurs twice in a column b, as
     # x * b for two x
@@ -561,10 +557,18 @@ def equivalence_2_3_check(A: OpAlgebra) -> Report:
         for v in col:
             if col.count(v) > 1:
                 repeated.add(v)
-    cond3 = repeated.isdisjoint(t)
-    agree = cond2 == cond3
+    return cond2, repeated.isdisjoint(t)
+
+
+def equivalence_2_3_check(A: OpAlgebra) -> Report:
+    """Sanity oracle: cancellation agrees with the at-most-one-solution
+    condition, both computed independently."""
+    op = binary_op(A)
+    if _is_commutative(A, op) is not None:
+        raise IllTyped("equivalence check needs a commutative operation")
+    cond2, cond3 = _equiv23_conditions(op.table, A.size)
     details = (f"cancellation: {cond2}", f"at most one solution: {cond3}")
-    if agree:
+    if cond2 == cond3:
         return holds("equiv23", details)
     return fails("equiv23", {"cond2": cond2, "cond3": cond3}, details)
 
@@ -828,7 +832,10 @@ def admissibility_count_variety(vk: VarietyKite,
     """Count homomorphisms phi: A x_B C -> D with phi e1 = alpha and
     phi e2 = gamma, by backtracking with closure propagation through
     watch lists: assigning x re-checks only the argument tuples holding x.
-    Branching on the least unassigned point meets solutions in order."""
+    Branching on the least unassigned point meets solutions in order.
+    A negative cap is IllTyped."""
+    if cap < 0:
+        raise IllTyped(f"cap must be >= 0, got {cap}")
     frame = _admissibility_frame(vk.A, vk.C, vk.D, vk.f, vk.r, vk.g, vk.s,
                                  {})
     return _pinned_count(frame, vk.alpha, vk.gamma, cap)

@@ -20,6 +20,7 @@ from finkite.algebra import (BinaryRelation, OpAlgebra, Operation, VarietyKite,
                              relation_closure,
                              reflexive_relations, relation_properties,
                              unary_monoid_from_group, wm_witness_search)
+from finkite.cli import _commutative_tables
 from finkite.errors import (BudgetExceeded, FinkiteError, IllTyped,
                             MissingOperation, MultipleSolutions,
                             NoSolution, NotAHomomorphism, UnsupportedVariety)
@@ -162,6 +163,20 @@ def test_equivalence_2_3_all_commutative_3_magmas():
     assert count == 729
 
 
+@pytest.mark.parametrize("n, count", [(0, 1), (1, 1), (2, 8), (3, 729)])
+def test_equiv23_kernel_on_every_table_of_the_sweep(n, count):
+    """The sweep reads the conditions off its generated tables without
+    building an OpAlgebra: each one must validate as a commutative magma,
+    and the kernel must agree with the oracle on it."""
+    tables = list(_commutative_tables(n))
+    assert len(tables) == count
+    for t in tables:
+        A = OpAlgebra(n, (Operation("*", 2, t),), "cmag")
+        cond2, cond3 = algebra._equiv23_conditions(t, n)
+        assert oracle_equivalence_2_3_check(A).details == (
+            f"cancellation: {cond2}", f"at most one solution: {cond3}")
+
+
 def test_cancellative_commutative_magmas_always_solvable():
     """Finite cancellative commutative tables are symmetric Latin
     squares, so every instance x * b = a * c is solvable; checked
@@ -250,6 +265,13 @@ def test_variety_kite_witness_for_meet_semilattice():
     E, labels = pullback_subalgebra(kite)
     for sol in res.solutions[:2]:
         assert homomorphism_witness(E, kite.D, sol) is None
+
+
+def test_variety_counter_refuses_a_negative_cap():
+    kite = wm_witness_search(meet_semilattice2())
+    with pytest.raises(IllTyped, match=r"^cap must be >= 0, got -1$"):
+        admissibility_count_variety(kite, cap=-1)
+    assert admissibility_count_variety(kite, cap=0).count == 2
 
 
 def test_variety_kite_count_bounded_for_cancellative_groups():

@@ -421,6 +421,25 @@ def test_index_map_tables_match_the_nested_list_build(n, count):
     assert tables == list(nested_list_tables(n))
 
 
+@pytest.mark.parametrize("size, code, detail, verdict", [
+    (0, 0, "conditions (2) and (3) agree on all 1 commutative magmas "
+           "of size 0", "holds"),
+    (1, 0, "conditions (2) and (3) agree on all 1 commutative magmas "
+           "of size 1", "holds"),
+    (2, 0, "conditions (2) and (3) agree on all 8 commutative magmas "
+           "of size 2", "holds"),
+    (4, 3, "size 4 sweep not supported; use size <= 3", "inconclusive"),
+])
+def test_equiv23_sweep_reports_are_byte_stable(capsys, size, code, detail,
+                                               verdict):
+    assert main(["equiv23", "--size", str(size)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        '{"command": "equiv23", "details": ["' + detail + '"], '
+        '"verdict": "' + verdict + '", "version": "1.0"}\n')
+
+
 def test_equiv23_reports_the_first_magma_where_the_conditions_disagree(
         capsys, monkeypatch):
     tables = list(_commutative_tables(3))

@@ -119,7 +119,7 @@ index_lists = st.lists(_ints(-2, 5), max_size=4)
 algebra_files = st.sampled_from(["ALG", "SEMI"])
 argvs = st.one_of(
     _ints(-3, 70).map(lambda n: ["wm-object", "--size", n]),
-    _ints(-2, 5).map(lambda n: ["equiv23", "--size", n]),
+    _ints(-2, 60).map(lambda n: ["equiv23", "--size", n]),
     st.tuples(algebra_files, _ints(-3, 60)).map(
         lambda t: ["relations", t[0], "--reflexive", "--budget", t[1]]),
     st.tuples(algebra_files, _ints(-3, 60)).map(
@@ -151,6 +151,7 @@ def fixed_files(tmp_path_factory):
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(argv=argvs)
 @example(argv=["kite", "solve", "KITE", "--cap", "-1"])
+@example(argv=["equiv23", "--size", "60"])
 def test_every_flag_value_ends_in_an_exit_code_and_at_most_one_json_line(
         fixed_files, argv):
     argv = [fixed_files.get(a, a) for a in argv]
@@ -164,3 +165,7 @@ def test_every_flag_value_ends_in_an_exit_code_and_at_most_one_json_line(
         assert isinstance(json.loads(lines[0]), dict), argv
     if argv[:2] == ["kite", "solve"] and int(argv[-1]) < 0:
         assert (code, len(lines)) == (2, 1), argv
+    if argv[0] == "equiv23" and int(argv[-1]) > 3:
+        assert code == 3, argv
+        assert json.loads(out.getvalue())["details"] == [
+            f"size {argv[-1]} sweep not supported; use size <= 3"], argv
