@@ -770,11 +770,12 @@ def _product_subalgebra(A: OpAlgebra, C: OpAlgebra, labels) -> OpAlgebra:
 
 
 def _local_product(A: OpAlgebra, C: OpAlgebra, f, r, g, s) -> LocalProduct:
-    """The local product of the carriers of A and C over f, r, g and s."""
-    B = len(r)
+    """The local product of the carriers of A and C over f, r, g and s,
+    legs that `_kite_fault` has already checked."""
+    B, leg = len(r), FinMap._derived
     return local_product(SplitCospan(
-        FinMap(A.size, B, f), FinMap(B, A.size, r),
-        FinMap(C.size, B, g), FinMap(B, C.size, s)))
+        leg(A.size, B, tuple(f)), leg(B, A.size, tuple(r)),
+        leg(C.size, B, tuple(g)), leg(B, C.size, tuple(s))))
 
 
 def pullback_subalgebra(vk: VarietyKite) -> tuple[OpAlgebra, tuple]:

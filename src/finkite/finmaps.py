@@ -43,6 +43,16 @@ class FinMap:
                 raise IllTyped(f"table entry {self.table[j]} at index {j} "
                                f"is out of range for cod {cod}")
 
+    @classmethod
+    def _derived(cls, dom: int, cod: int, table: tuple[int, ...]) -> FinMap:
+        """A map read out of validated maps, whose tuple table has length
+        dom and entries below cod by construction: not scanned again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "dom", dom)
+        object.__setattr__(m, "cod", cod)
+        object.__setattr__(m, "table", table)
+        return m
+
     def __call__(self, x: int) -> int:
         return self.table[x]
 
@@ -57,7 +67,7 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
         raise DomainMismatch(
             f"cannot compose: middle objects differ ({f.cod} vs {g.dom})")
     table = g.table
-    return FinMap(f.dom, g.cod, tuple([table[v] for v in f.table]))
+    return FinMap._derived(f.dom, g.cod, tuple([table[v] for v in f.table]))
 
 
 def is_mono(f: FinMap) -> bool:

@@ -7,6 +7,7 @@ verdicts, never exceptions; only malformed shapes raise.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -79,6 +80,12 @@ def _first_violation(checks, labels=None, key="equation") -> Optional[Report]:
     return None
 
 
+def _require_valid(rep: Report, what: str) -> None:
+    """Raise IllTyped for a failing report, its witness written as JSON."""
+    if not rep.ok:
+        raise IllTyped(f"{what}: {json.dumps(rep.witness, sort_keys=True)}")
+
+
 def validate_reflexive_graph(rg: ReflexiveGraph) -> Report:
     one = identity(rg.C0)
     return _first_violation((("d e = 1", compose(rg.d, rg.e), one),
@@ -106,9 +113,7 @@ def composable_pairs(rg: ReflexiveGraph) -> C2Data:
     lex ordered, with projections and the injections e1 = <1, ed> and
     e2 = <ec, 1>.  It exists only when d e = 1 = c e, so any other graph
     is IllTyped, naming the first law that fails."""
-    rep = validate_reflexive_graph(rg)
-    if not rep.ok:
-        raise IllTyped(f"graph is not reflexive: {rep.witness}")
+    _require_valid(validate_reflexive_graph(rg), "graph is not reflexive")
     lp = local_product(SplitCospan(rg.d, rg.e, rg.c, rg.e))
     return C2Data(lp.element_labels, lp.p1, lp.p2, lp.e1, lp.e2)
 
@@ -364,27 +369,22 @@ def validate_directed_kite(dk: DirectedKite) -> Report:
 def kite_from_rg(rg: ReflexiveGraph) -> DirectedKite:
     """Multiplications on this kite are the unital multiplicative
     structures on the graph."""
-    rep = validate_reflexive_graph(rg)
-    if not rep.ok:
-        raise IllTyped(f"invalid reflexive graph: {rep.witness}")
+    _require_valid(validate_reflexive_graph(rg), "invalid reflexive graph")
     one = identity(rg.C1)
     return DirectedKite(f=rg.d, r=rg.e, s=rg.e, g=rg.c,
                         alpha=one, beta=rg.e, gamma=one, d=rg.d, c=rg.c)
 
 
 def kite_from_umg(mg: MultiplicativeGraph) -> DirectedKite:
-    rep = validate_unital_multiplicative_graph(mg)
-    if not rep.ok:
-        raise IllTyped(f"invalid unital multiplicative graph: {rep.witness}")
+    _require_valid(validate_unital_multiplicative_graph(mg),
+                   "invalid unital multiplicative graph")
     return DirectedKite(f=mg.c2.pi2, r=mg.c2.e2, s=mg.c2.e1, g=mg.c2.pi1,
                         alpha=mg.m, beta=identity(mg.rg.C1), gamma=mg.m,
                         d=mg.rg.d, c=mg.rg.c)
 
 
 def kite_from_cat(mg: MultiplicativeGraph) -> DirectedKite:
-    rep = validate_category(mg)
-    if not rep.ok:
-        raise IllTyped(f"invalid internal category: {rep.witness}")
+    _require_valid(validate_category(mg), "invalid internal category")
     return DirectedKite(f=mg.m, r=mg.c2.e2, s=mg.c2.e1, g=mg.m,
                         alpha=mg.c2.pi2, beta=identity(mg.rg.C1), gamma=mg.c2.pi1,
                         d=mg.rg.d, c=mg.rg.c)
@@ -415,9 +415,7 @@ def validate_rg_morphism(h: RGMorphism) -> Report:
 
 
 def kite_from_rg_morphism(h: RGMorphism) -> DirectedKite:
-    rep = validate_rg_morphism(h)
-    if not rep.ok:
-        raise IllTyped(f"invalid graph morphism: {rep.witness}")
+    _require_valid(validate_rg_morphism(h), "invalid graph morphism")
     rg, rg2 = h.src, h.dst
     return DirectedKite(f=rg.d, r=rg.e, s=rg.e, g=rg.c,
                         alpha=h.f1, beta=compose(rg2.e, h.f0), gamma=h.f1,

@@ -168,7 +168,8 @@ def maltsev_mu(k: KpcResult,
         if t is None:
             raise IllTyped(f"mu image {w} leaves the triple object")
         table.append(t)
-    return UnitalMultiplication(k, c2, FinMap(c2.size, k.size, tuple(table)))
+    return UnitalMultiplication(k, c2,
+                                FinMap._derived(c2.size, k.size, tuple(table)))
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def _theta(k: KiteDiagram, mul: UnitalMultiplication) -> ThetaResult:
         if key not in pair_index:
             raise IllTyped(f"theta components are not composable at {ksi}")
         table.append(pair_index[key])
-    th = FinMap(k.E, c2.size, tuple(table))
+    th = FinMap._derived(k.E, c2.size, tuple(table))
     return ThetaResult(th, compose(kswap.mid, compose(mul.mu, th)))
 
 

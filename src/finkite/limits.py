@@ -40,8 +40,8 @@ def pullback(g: FinMap, f: FinMap) -> Pullback:
     over = fibres(g.table)
     labels = tuple([(a, c) for a, b in enumerate(f.table)
                     for c in over.get(b, ())])
-    p1 = FinMap(len(labels), f.dom, tuple([a for a, _ in labels]))
-    p2 = FinMap(len(labels), g.dom, tuple([c for _, c in labels]))
+    p1 = FinMap._derived(len(labels), f.dom, tuple([a for a, _ in labels]))
+    p2 = FinMap._derived(len(labels), g.dom, tuple([c for _, c in labels]))
     return Pullback(labels, p1, p2)
 
 
@@ -101,8 +101,8 @@ def local_product(sc: SplitCospan) -> LocalProduct:
     at = index_of(pb.labels).__getitem__
     sf = map(sc.s.table.__getitem__, sc.f.table)
     rg = map(sc.r.table.__getitem__, sc.g.table)
-    e1 = FinMap(sc.A, pb.size, tuple(map(at, zip(range(sc.A), sf))))
-    e2 = FinMap(sc.C, pb.size, tuple(map(at, zip(rg, range(sc.C)))))
+    e1 = FinMap._derived(sc.A, pb.size, tuple(map(at, zip(range(sc.A), sf))))
+    e2 = FinMap._derived(sc.C, pb.size, tuple(map(at, zip(rg, range(sc.C)))))
     return LocalProduct(pb.size, pb.labels, pb.p1, pb.p2, e1, e2, sc)
 
 
@@ -112,7 +112,7 @@ def kernel_pair(h: FinMap):
     # The labels run through x in order, and (x, x) once for each x.
     diag = tuple([i for i, (x, y) in enumerate(pb.labels) if x == y])
     return KernelPairData(pb.labels, pb.p1, pb.p2,
-                          FinMap(h.dom, pb.size, diag))
+                          FinMap._derived(h.dom, pb.size, diag))
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,10 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
     pb = pullback(e2, e1)
     b_index = index_of(pb.labels)
     nB, r, s = pb.size, pb.p1, pb.p2
-    f = FinMap(A, nB, tuple(b_index[(p1e2p2e1.table[a], p2e1.table[a])]
-                            for a in range(A)))
-    g = FinMap(C, nB, tuple(b_index[(p1e2.table[c], p2e1p1e2.table[c])]
-                            for c in range(C)))
+    f = FinMap._derived(A, nB, tuple(
+        b_index[(p1e2p2e1.table[a], p2e1.table[a])] for a in range(A)))
+    g = FinMap._derived(C, nB, tuple(
+        b_index[(p1e2.table[c], p2e1p1e2.table[c])] for c in range(C)))
     cospan = SplitCospan(f, r, g, s)
     lp = local_product(cospan)
 
@@ -227,7 +227,7 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
             return IntrinsicCheck(fails(cmd, {"condition": "round-trip", "element": x},
                                         details), cospan, lp, None)
         relabel_table.append(lp_index[lab])
-    relabel = FinMap(E, lp.E, tuple(relabel_table))
+    relabel = FinMap._derived(E, lp.E, tuple(relabel_table))
     round_trip = (
         lp.E == E
         and len(set(relabel.table)) == E

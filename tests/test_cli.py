@@ -552,4 +552,30 @@ def test_validate_rejects_a_multiplicative_graph_with_d_e_not_1(capsys,
     code, out = run(capsys, "validate", path)
     assert code == 1 and out["witness"] == {
         "violation": "graph is not reflexive: "
-                     "{'equation': 'd e = 1', 'element': 1}"}
+                     '{"element": 1, "equation": "d e = 1"}'}
+
+
+def test_law_failures_name_their_witness_as_json(capsys, tmp_path):
+    # a graph with d e != 1, a one-object graph whose m is not unital, and
+    # a unital but not associative one (1 (1 2) = 1 and (1 1) 2 = 0)
+    one_object = {"d": finmap(3, 1, [0] * 3), "c": finmap(3, 1, [0] * 3),
+                  "e": finmap(1, 3, [0])}
+    rg = {"kind": "reflexive_graph", "d": finmap(1, 2, [0]),
+          "c": finmap(1, 2, [0]), "e": finmap(2, 1, [0, 0])}
+    umg = {"kind": "unital_multiplicative_graph", **one_object,
+           "m": finmap(9, 3, [0] * 9)}
+    cat = {"kind": "category", **one_object,
+           "m": finmap(9, 3, [0, 1, 2, 1, 1, 0, 2, 0, 2])}
+    code, out = run(capsys, "validate", write(
+        tmp_path, "mg.json", {**rg, "kind": "multiplicative_graph",
+                              "m": finmap(1, 1, [0])}))
+    messages = [out["witness"]["violation"]]
+    for source, obj in (("rg", rg), ("umg", umg), ("cat", cat)):
+        assert main(["kite", "build", "--from", source,
+                     write(tmp_path, f"{source}.json", obj)]) == 2
+        messages.append(json.loads(capsys.readouterr().err)["error"])
+    assert [m.partition(": ")[0] for m in messages] == [
+        "graph is not reflexive", "invalid reflexive graph",
+        "invalid unital multiplicative graph", "invalid internal category"]
+    for m in messages:
+        assert isinstance(json.loads(m.partition(": ")[2]), dict), m

@@ -115,7 +115,7 @@ def _ints(lo, hi):
     return st.integers(lo, hi).map(str)
 
 
-index_lists = st.lists(_ints(-2, 5), max_size=4)
+index_lists = st.lists(_ints(-2, 60), max_size=4)
 algebra_files = st.sampled_from(["ALG", "SEMI"])
 argvs = st.one_of(
     _ints(-3, 70).map(lambda n: ["wm-object", "--size", n]),
@@ -124,10 +124,10 @@ argvs = st.one_of(
         lambda t: ["relations", t[0], "--reflexive", "--budget", t[1]]),
     st.tuples(algebra_files, _ints(-3, 60)).map(
         lambda t: ["classify", t[0], "--witness-kite", "--budget", t[1]]),
-    st.tuples(st.sampled_from(["ALG", "SEMI", "KITE"]), _ints(-3, 5)).map(
+    st.tuples(st.sampled_from(["ALG", "SEMI", "KITE"]), _ints(-3, 60)).map(
         lambda t: ["validate", t[0], "--max-size", t[1]]),
-    _ints(-3, 5).map(lambda c: ["kite", "solve", "KITE", "--cap", c]),
-    st.tuples(algebra_files, _ints(-3, 5), _ints(-3, 5), _ints(-3, 5)).map(
+    _ints(-3, 60).map(lambda c: ["kite", "solve", "KITE", "--cap", c]),
+    st.tuples(algebra_files, _ints(-3, 60), _ints(-3, 60), _ints(-3, 60)).map(
         lambda t: ["maltsev-op", *t]),
     st.tuples(index_lists, index_lists, st.booleans()).map(
         lambda t: ["ismember", "-f", *t[0], "-u", *t[1]]

@@ -1,8 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finkite import finmaps
 from finkite.errors import DomainMismatch, IllTyped
 from finkite.finmaps import (FinMap, compose, identity, is_epi, is_mono,
                              is_split_epi, ismember, ismember_pullback,
@@ -60,6 +63,10 @@ def test_compose_domain_mismatch():
 def test_compose_associative(triple):
     f, g, h = triple
     assert compose(h, compose(g, f)).table == compose(compose(h, g), f).table
+    # a composite is built unscanned; it equals the validated map
+    for m in (compose(g, f), compose(h, g)):
+        valid = FinMap(m.dom, m.cod, m.table)
+        assert m == valid and hash(m) == hash(valid)
 
 
 def test_mono_epi_section():
@@ -171,6 +178,8 @@ def test_table_validation():
         FinMap(2, 2, (0, 2))
     with pytest.raises(IllTyped):
         FinMap(2, 2, (0,))
+    with pytest.raises(IllTyped, match="^dom and cod must be non-negative$"):
+        identity(-1)
 
 
 def old_range_check(dom, cod, table):
@@ -212,3 +221,17 @@ def test_range_check_names_the_first_bad_entry():
     assert FinMap(2, 2, (True, False)).table == (True, False)
     with pytest.raises(TypeError):
         FinMap(2, 3, (0, None))
+
+
+def test_maps_from_outside_are_always_validated():
+    """The modules that read maps from files, the command line and the
+    gallery build them with FinMap(...), never with the unscanned
+    FinMap._derived."""
+    root = Path(finmaps.__file__).parent
+    found = []
+    for name in ("schemas.py", "cli.py", "gallery.py"):
+        tree = ast.parse((root / name).read_text(encoding="utf-8"))
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if getattr(node, "attr", None) == "_derived"
+                  or getattr(node, "id", None) == "_derived"]
+    assert found == []

@@ -364,7 +364,7 @@ def test_composable_pairs_reject_a_graph_with_d_e_not_1():
     with pytest.raises(IllTyped) as info:
         composable_pairs(rg)
     assert str(info.value) == \
-        "graph is not reflexive: {'equation': 'd e = 1', 'element': 1}"
+        'graph is not reflexive: {"element": 1, "equation": "d e = 1"}'
     with pytest.raises(IllTyped):
         MultiplicativeGraph(rg, FinMap(1, 1, (0,)))
 

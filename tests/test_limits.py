@@ -226,6 +226,14 @@ def test_extremal_check_m0_counts_free_points():
 
 # Nested-loop definitions, kept as oracles for the bucketed constructions.
 
+def assert_validated(*ms):
+    """Each map, built without the range scan, equals and hashes as the
+    map that FinMap(dom, cod, table) validates from the same table."""
+    for m in ms:
+        valid = FinMap(m.dom, m.cod, m.table)
+        assert m == valid and hash(m) == hash(valid)
+
+
 def nested_pullback(g, f):
     return [(a, c) for a in range(f.dom) for c in range(g.dom)
             if f.table[a] == g.table[c]]
@@ -303,6 +311,7 @@ def test_pullback_matches_nested_loop(f, data):
     assert (pb.p2.dom, pb.p2.cod) == (len(want), g.dom)
     assert pb.p1.table == tuple(a for a, _ in want)
     assert pb.p2.table == tuple(c for _, c in want)
+    assert_validated(pb.p1, pb.p2, compose(f, pb.p1), compose(g, pb.p2))
 
 
 @given(maps_into())
@@ -315,6 +324,7 @@ def test_kernel_pair_matches_nested_loop(h):
     assert kp.p2.table == tuple(y for _, y in want)
     assert kp.diagonal.table == tuple(want.index((y, y)) for y in range(h.dom))
     assert kp.diagonal.cod == len(want)
+    assert_validated(kp.p1, kp.p2, kp.diagonal)
 
 
 def perturb(lp, data):
@@ -346,7 +356,9 @@ def perturb(lp, data):
 @given(split_cospans(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_intrinsic_check_matches_nested_loop_on_perturbed_diagrams(sc, data):
-    p1, p2, e1, e2 = perturb(local_product(sc), data)
+    lp = local_product(sc)
+    assert_validated(lp.p1, lp.p2, lp.e1, lp.e2)
+    p1, p2, e1, e2 = perturb(lp, data)
     res = check_local_product_intrinsic(p1, p2, e1, e2)
     condition, want = nested_intrinsic_check(p1, p2, e1, e2)
     if condition is not None:
@@ -365,3 +377,5 @@ def test_intrinsic_check_matches_nested_loop_on_perturbed_diagrams(sc, data):
         for c in range(p2.cod))
     assert res.regenerated.element_labels == tuple(
         nested_pullback(res.cospan.g, res.cospan.f))
+    assert_validated(res.cospan.f, res.cospan.g, res.relabel,
+                     res.regenerated.e1, res.regenerated.e2)
