@@ -19,8 +19,59 @@ from .finmaps import FinMap, cross_pins, fibres, index_of
 from .limits import LocalProduct, SplitCospan, local_product
 from .report import Report, fails, holds
 
-VARIETIES = ("magma", "cmag", "dimagma", "unary_monoid", "lattice",
-             "ccm_magma", "group", "custom")
+# One row per variety tag: the operations it needs, as arity -> count,
+# and what its MissingOperation text says it needs; its axioms in check
+# order as (witness, IllTyped text), each witness reading A and the
+# needed operations (the first of each arity, in row order) and None
+# when the axiom holds; and its criterion (name, check), or None.  Names
+# are looked up at call time, as in schemas.KINDS, for bench/tracer.py.
+_ONE_BINARY = ({2: 1}, "needs a binary operation")
+_COMMUTATIVE = (lambda A, o: _is_commutative(A, o[0]),
+                "operation is not commutative")
+_ASSOCIATIVE = (lambda A, o: _is_associative(A, o[0]),
+                "operation is not associative")
+_CANCELLATION = ("cancellation", lambda A: check_cancellative(A))
+_UNIQUE_SOLUTION = ("unique solution of x bar(b) b = a bar(b) c",
+                    lambda A: _unique_solution_criterion(A))
+VARIETY_TABLE = {
+    "magma": (*_ONE_BINARY, (), None),
+    "cmag": (*_ONE_BINARY, (_COMMUTATIVE,), _CANCELLATION),
+    "dimagma": ({2: 2}, "needs two binary operations", (
+        (lambda A, o: _is_commutative(A, o[0]),
+         "operations must be commutative"),
+        (lambda A, o: _is_commutative(A, o[1]),
+         "operations must be commutative")),
+        ("joint cancellation", lambda A: check_joint_cancellative(A))),
+    "unary_monoid": ({2: 1, 1: 1, 0: 1},
+                     "needs binary, unary and nullary operations", (
+        _ASSOCIATIVE,
+        (lambda A, o: None if _unit_of(A, o[0]) == o[2].table[0] else True,
+         "constant is not a unit"),
+        (lambda A, o: _unary_monoid_law_witness(A, o[0], o[1]),
+         "x bar(y) y = y bar(y) x fails at {}")), _UNIQUE_SOLUTION),
+    "lattice": ({2: 2}, "needs meet and join", (
+        (lambda A, o: _is_commutative(A, o[0]), "operation not commutative"),
+        (lambda A, o: _is_associative(A, o[0]), "operation not associative"),
+        (lambda A, o: _is_commutative(A, o[1]), "operation not commutative"),
+        (lambda A, o: _is_associative(A, o[1]), "operation not associative"),
+        (lambda A, o: _absorption_witness(A, *o), "absorption fails")),
+        ("distributivity (cross-checked by joint cancellation)",
+         lambda A: _classify_lattice(A))),
+    "ccm_magma": (*_ONE_BINARY, (
+        _COMMUTATIVE,
+        (lambda A, o: _is_medial(A, o[0]), "operation is not medial"),
+        (lambda A, o: _cancellation_witness(A, o[0]),
+         "operation is not cancellative")), _CANCELLATION),
+    "group": (*_ONE_BINARY, (
+        _ASSOCIATIVE,
+        (lambda A, o: True if A.size and _unit_of(A, o[0]) is None else None,
+         "no unit element"),
+        (lambda A, o: next((x for x, ys in enumerate(_inverses(
+            A, o[0], _unit_of(A, o[0]))) if not ys), None),
+         "element {} has no inverse")), _UNIQUE_SOLUTION),
+    "custom": ({}, "", (), None),
+}
+VARIETIES = tuple(VARIETY_TABLE)
 
 SUBALGEBRA_CAP = 512
 
@@ -78,7 +129,7 @@ class OpAlgebra:
         raise MissingOperation(f"no operation named {symbol!r}")
 
     def ops_of_arity(self, arity: int) -> tuple[Operation, ...]:
-        return tuple(op for op in self.ops if op.arity == arity)
+        return tuple([op for op in self.ops if op.arity == arity])
 
     @property
     def signature(self) -> tuple[tuple[str, int], ...]:
@@ -173,67 +224,26 @@ def _inverses(A: OpAlgebra, op: Operation, e) -> list[list[int]]:
 
 
 def _validate_variety_axioms(A: OpAlgebra) -> None:
-    v = A.variety
-    if v == "custom":
+    arities, needs, axioms, _ = VARIETY_TABLE[A.variety]
+    if not arities:         # no operations needed, so no axioms either
         return
-    binary = A.ops_of_arity(2)
-    if v in ("magma", "cmag", "ccm_magma"):
-        if not binary:
-            raise MissingOperation(f"variety {v} needs a binary operation")
-        op = binary[0]
-        if v in ("cmag", "ccm_magma") and _is_commutative(A, op) is not None:
-            raise IllTyped(f"variety {v}: operation is not commutative")
-        if v == "ccm_magma":
-            if _is_medial(A, op) is not None:
-                raise IllTyped("variety ccm_magma: operation is not medial")
-            if _cancellation_witness(A, op) is not None:
-                raise IllTyped("variety ccm_magma: operation is not cancellative")
-    elif v == "dimagma":
-        if len(binary) < 2:
-            raise MissingOperation("variety dimagma needs two binary operations")
-        for op in binary[:2]:
-            if _is_commutative(A, op) is not None:
-                raise IllTyped("variety dimagma: operations must be commutative")
-    elif v == "unary_monoid":
-        unary, nullary = A.ops_of_arity(1), A.ops_of_arity(0)
-        if not (binary and unary and nullary):
-            raise MissingOperation(
-                "variety unary_monoid needs binary, unary and nullary operations")
-        op = binary[0]
-        if _is_associative(A, op) is not None:
-            raise IllTyped("variety unary_monoid: operation is not associative")
-        if A.size and _unit_of(A, op) != nullary[0].table[0]:
-            raise IllTyped("variety unary_monoid: constant is not a unit")
-        w = _unary_monoid_law_witness(A, op, unary[0])
+    ops = []
+    for arity, count in arities.items():
+        ops += A.ops_of_arity(arity)[:count]
+    if len(ops) < sum(arities.values()):
+        raise MissingOperation(f"variety {A.variety} {needs}")
+    for witness, text in axioms:
+        w = witness(A, ops)
         if w is not None:
-            raise IllTyped(f"variety unary_monoid: x bar(y) y = y bar(y) x "
-                           f"fails at {w}")
-    elif v == "lattice":
-        if len(binary) < 2:
-            raise MissingOperation("variety lattice needs meet and join")
-        meet, join = binary[0], binary[1]
-        for op in (meet, join):
-            if _is_commutative(A, op) is not None:
-                raise IllTyped("variety lattice: operation not commutative")
-            if _is_associative(A, op) is not None:
-                raise IllTyped("variety lattice: operation not associative")
-        # meet(x, join(x, -)) and join(x, meet(x, -)) read row x only
-        for m_row, j_row, x in zip(_rows(meet.table, A.size),
-                                   _rows(join.table, A.size), range(A.size)):
-            if {m_row[u] for u in j_row} | {j_row[u] for u in m_row} != {x}:
-                raise IllTyped("variety lattice: absorption fails")
-    elif v == "group":
-        if not binary:
-            raise MissingOperation("variety group needs a binary operation")
-        op = binary[0]
-        if _is_associative(A, op) is not None:
-            raise IllTyped("variety group: operation is not associative")
-        e = _unit_of(A, op)
-        if A.size and e is None:
-            raise IllTyped("variety group: no unit element")
-        for x, ys in enumerate(_inverses(A, op, e)):
-            if not ys:
-                raise IllTyped(f"variety group: element {x} has no inverse")
+            raise IllTyped(f"variety {A.variety}: " + text.format(w))
+
+
+def _absorption_witness(A: OpAlgebra, meet, join) -> Optional[int]:
+    """The first x with meet(x, join(x, y)) != x or join(x, meet(x, y))
+    != x for some y: both read row x only."""
+    rows = zip(_rows(meet.table, A.size), _rows(join.table, A.size))
+    return next((x for x, (m, j) in enumerate(rows)
+                 if {m[u] for u in j} | {j[u] for u in m} != {x}), None)
 
 
 def _is_medial(A: OpAlgebra, op: Operation) -> Optional[tuple]:
@@ -441,21 +451,11 @@ class Classification:
 def classify_wm_object(A: OpAlgebra) -> Classification:
     """Apply the equational weakly-Mal'tsev-object criterion matching
     the algebra's variety and report which criterion was used."""
-    v = A.variety
-    if v in ("cmag", "ccm_magma"):
-        rep = check_cancellative(A)
-        crit = "cancellation"
-    elif v == "dimagma":
-        rep = check_joint_cancellative(A)
-        crit = "joint cancellation"
-    elif v == "lattice":
-        rep = _classify_lattice(A)
-        crit = "distributivity (cross-checked by joint cancellation)"
-    elif v in ("unary_monoid", "group"):
-        rep = _unique_solution_criterion(A)
-        crit = "unique solution of x bar(b) b = a bar(b) c"
-    else:
-        raise UnsupportedVariety(f"no classification criterion for {v!r}")
+    crit, check = VARIETY_TABLE[A.variety][3] or (None, None)
+    if check is None:
+        raise UnsupportedVariety(
+            f"no classification criterion for {A.variety!r}")
+    rep = check(A)
     out = Report("classify", rep.verdict, witness=rep.witness,
                  details=rep.details + (f"criterion: {crit}",))
     return Classification(out, crit)

@@ -7,8 +7,10 @@ tables, so all values here are immutable and all functions pure.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
+from math import prod
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import DomainMismatch, IllTyped
@@ -185,8 +187,11 @@ def first_mismatch(lhs: FinMap, rhs: FinMap) -> Optional[int]:
 def cross_pins(e1: Sequence[int], alpha: Sequence[int], e2: Sequence[int],
                gamma: Sequence[int]) -> Optional[dict[int, int]]:
     """The values that m e1 = alpha and m e2 = gamma pin on the cross
-    e1(A) u e2(C), as point -> value, or None when they disagree."""
+    e1(A) u e2(C), as point -> value, or None when they disagree (also
+    where e1 or e2 alone sends two points with different values to one)."""
     pins = dict(zip(e1, alpha))
+    if len(pins) < len(e1) and any(pins[w] != v for w, v in zip(e1, alpha)):
+        return None
     for w, v in zip(e2, gamma):
         if pins.setdefault(w, v) != v:
             return None
@@ -201,6 +206,17 @@ class SolveResult:
     report: Report
 
 
+def _two_least(allowed: list[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The first two tables of product(*allowed), every fibre non-empty,
+    built without copying the fibres: the first values, then, if some
+    fibre has a second value, the last such fibre moved to it."""
+    first = tuple([fibre[0] for fibre in allowed])
+    for x in reversed(range(len(allowed))):
+        if len(allowed[x]) > 1:
+            return [first, first[:x] + (allowed[x][1],) + first[x + 1:]]
+    return [first]
+
+
 def solve_cross(e1: FinMap, alpha: FinMap, e2: FinMap, gamma: FinMap,
                 d: FinMap, c: FinMap, d_target: FinMap, c_target: FinMap,
                 cap: float, command: str) -> SolveResult:
@@ -209,11 +225,11 @@ def solve_cross(e1: FinMap, alpha: FinMap, e2: FinMap, gamma: FinMap,
 
     The pins on the cross e1(A) u e2(C) are merged first; every other
     point ranges over its (d, c)-fibre, read from one index of those
-    fibres, so the count is the product of the fibre sizes and the cost
-    O(E + D) before enumeration.  All solutions are listed when there
-    are at most cap of them (math.inf lists every one), otherwise only
-    the two least; the report carries at most the two least.  A negative
-    cap is IllTyped."""
+    fibres, so the count is the product of the fibre sizes, one power
+    per distinct size, and the cost O(E + D) before enumeration.  All
+    solutions are listed when there are at most cap of them (math.inf
+    lists every one), otherwise only the two least, built directly; the
+    report carries at most the two least.  A negative cap is IllTyped."""
     if cap < 0:
         raise IllTyped(f"cap must be >= 0, got {cap}")
     pins = cross_pins(e1.table, alpha.table, e2.table, gamma.table)
@@ -227,13 +243,12 @@ def solve_cross(e1: FinMap, alpha: FinMap, e2: FinMap, gamma: FinMap,
             allowed.append(over.get(key, ()))
         else:
             allowed.append((v,) if (d.table[v], c.table[v]) == key else ())
-    count = 1
-    for fibre in allowed:
-        count *= len(fibre)
+    sizes = Counter(map(len, allowed))      # fibre size -> points with it
+    count = prod(size ** mult for size, mult in sizes.items())
     if count == 0:
         return SolveResult(0, (), False, counted(command, 0))
     truncated = count > cap
-    tables = islice(product(*allowed), 2) if truncated else product(*allowed)
+    tables = _two_least(allowed) if truncated else product(*allowed)
     sols = tuple(FinMap(d_target.dom, d.dom, tab) for tab in tables)
     report = counted(command, count, [list(s.table) for s in sols[:2]],
                      details=(["solution list truncated to the two "

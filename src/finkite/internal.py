@@ -80,10 +80,10 @@ def _first_violation(checks, labels=None, key="equation") -> Optional[Report]:
     return None
 
 
-def _require_valid(rep: Report, what: str) -> None:
-    """Raise IllTyped for a failing report, its witness written as JSON."""
+def _require_valid(rep: Report, what: str, error=IllTyped) -> None:
+    """Raise error for a failing report, its witness written as JSON."""
     if not rep.ok:
-        raise IllTyped(f"{what}: {json.dumps(rep.witness, sort_keys=True)}")
+        raise error(f"{what}: {json.dumps(rep.witness, sort_keys=True)}")
 
 
 def validate_reflexive_graph(rg: ReflexiveGraph) -> Report:
@@ -467,9 +467,8 @@ def validate_kite_morphism(h: DirectedKiteMorphism) -> Report:
 
 def induced_kite(h: DirectedKiteMorphism) -> DirectedKite:
     """The composite kite: the source cospan with legs pushed into D'."""
-    rep = validate_kite_morphism(h)
-    if not rep.ok:
-        raise NonCommutingSquare(str(rep.witness))
+    _require_valid(validate_kite_morphism(h), "invalid kite morphism",
+                   NonCommutingSquare)
     k, k2 = h.src, h.dst
     return DirectedKite(f=k.f, r=k.r, s=k.s, g=k.g,
                         alpha=compose(h.hD, k.alpha),
@@ -480,9 +479,8 @@ def induced_kite(h: DirectedKiteMorphism) -> DirectedKite:
 
 def compat_check(h: DirectedKiteMorphism, m: FinMap, m2: FinMap) -> Report:
     """Whether hD m = m' (hA x_hB hC) on the induced pullback map."""
-    rep = validate_kite_morphism(h)
-    if not rep.ok:
-        raise NonCommutingSquare(str(rep.witness))
+    _require_valid(validate_kite_morphism(h), "invalid kite morphism",
+                   NonCommutingSquare)
     lp = local_product(SplitCospan(h.src.f, h.src.r, h.src.g, h.src.s))
     lp2 = local_product(SplitCospan(h.dst.f, h.dst.r, h.dst.g, h.dst.s))
     if m.dom != lp.E or m.cod != h.src.alpha.cod:

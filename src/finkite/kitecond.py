@@ -14,8 +14,9 @@ from typing import Callable, Optional
 from .errors import DomainMismatch, HypothesisViolation, IllTyped
 from .finmaps import (FinMap, SolveResult, compose, first_mismatch, identity,
                       index_of, jointly_monic, solve_cross)
-from .internal import (C2Data, DirectedKite, KpcResult, Span, composable_pairs,
-                       kite_from_span, kpc, validate_directed_kite)
+from .internal import (C2Data, DirectedKite, KpcResult, Span, _require_valid,
+                       composable_pairs, kite_from_span, kpc,
+                       validate_directed_kite)
 from .limits import (LocalProduct, SplitCospan, _failed_condition,
                      _failed_conditions_1_to_3, local_product)
 from .report import Report, fails, holds
@@ -73,9 +74,7 @@ class KiteDiagram:
 def assemble_kite(dk: DirectedKite) -> tuple[KiteDiagram, LocalProduct]:
     """Complete a directed kite with its local product; beta is induced
     through the common composite f p1 = g p2."""
-    rep = validate_directed_kite(dk)
-    if not rep.ok:
-        raise IllTyped(f"invalid directed kite: {rep.witness}")
+    _require_valid(validate_directed_kite(dk), "invalid directed kite")
     lp = local_product(SplitCospan(dk.f, dk.r, dk.g, dk.s))
     beta_e = compose(dk.beta, compose(dk.f, lp.p1))
     kd = KiteDiagram(lp.p1, lp.p2, lp.e1, lp.e2,

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import internal, kitecond, limits
-from .algebra import OpAlgebra, Operation, VarietyKite, _table_length_error
+from .algebra import (VARIETIES, OpAlgebra, Operation, VarietyKite,
+                      _table_length_error)
 from .errors import SchemaError
 from .finmaps import FinMap
 from .internal import (DirectedKite, MultiplicativeGraph, Pregroupoid,
@@ -91,8 +92,7 @@ SCHEMAS: dict[str, dict] = {
     "algebra": {
         "kind": "algebra",
         "fields": {"size": "int >= 0",
-                   "variety": "one of magma, cmag, dimagma, unary_monoid, "
-                              "lattice, ccm_magma, group, custom",
+                   "variety": "one of " + ", ".join(VARIETIES),
                    "ops": "list of {symbol, arity, table}; tables are flat, "
                           "lexicographically indexed by argument tuples"},
     },

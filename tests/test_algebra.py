@@ -1275,41 +1275,93 @@ UNIT_MONOID = (Operation("*", 2, (0, 1, 1, 0)), Operation("1", 0, (1,)),
 LAW_FAILING_MONOID = (Operation("*", 2, (0, 0, 0, 0, 1, 2, 2, 2, 2)),
                       Operation("1", 0, (1,)), Operation("bar", 1, (0, 0, 0)))
 
+BINARY = ops2((0, 0, 0, 1))
 VARIETY_BRANCHES = [
-    (2, ops2((0, 0, 1, 1)), "cmag",
+    (IllTyped, 2, ops2((0, 0, 1, 1)), "cmag",
      "variety cmag: operation is not commutative"),
-    (2, ops2((0, 0, 0, 1), (0, 0, 1, 1)), "dimagma",
+    (IllTyped, 2, ops2((0, 0, 0, 1), (0, 0, 1, 1)), "dimagma",
      "variety dimagma: operations must be commutative"),
-    (2, ops2((1, 0, 0, 0)), "group",
+    (IllTyped, 2, ops2((1, 0, 0, 0)), "group",
      "variety group: operation is not associative"),
-    (2, ops2((0, 0, 0, 0)), "group", "variety group: no unit element"),
-    (2, ops2((0, 0, 0, 1)), "group", "variety group: element 0 has no inverse"),
-    (2, ops2((0, 0, 0, 1), (0, 0, 0, 1)), "lattice",
+    (IllTyped, 2, ops2((0, 0, 0, 0)), "group",
+     "variety group: no unit element"),
+    (IllTyped, 2, ops2((0, 0, 0, 1)), "group",
+     "variety group: element 0 has no inverse"),
+    (IllTyped, 2, ops2((0, 0, 0, 1), (0, 0, 0, 1)), "lattice",
      "variety lattice: absorption fails"),
-    (2, ops2((0, 0, 0, 1), (1, 0, 0, 0)), "lattice",
+    (IllTyped, 2, ops2((0, 0, 0, 1), (1, 0, 0, 0)), "lattice",
      "variety lattice: operation not associative"),
-    (3, ops2((0, 0, 0, 0, 0, 2, 0, 2, 1)), "ccm_magma",
+    (IllTyped, 3, ops2((0, 0, 0, 0, 0, 2, 0, 2, 1)), "ccm_magma",
      "variety ccm_magma: operation is not medial"),
-    (2, ops2((0, 0, 0, 1)), "ccm_magma",
+    (IllTyped, 2, ops2((0, 0, 0, 1)), "ccm_magma",
      "variety ccm_magma: operation is not cancellative"),
-    (3, LAW_FAILING_MONOID, "unary_monoid",
+    (IllTyped, 3, LAW_FAILING_MONOID, "unary_monoid",
      "variety unary_monoid: x bar(y) y = y bar(y) x fails at (0, 2)"),
-    (2, UNIT_MONOID, "unary_monoid",
+    (IllTyped, 2, UNIT_MONOID, "unary_monoid",
      "variety unary_monoid: constant is not a unit"),
-    (2, (Operation("*", 2, (1, 0, 0, 0)),) + UNIT_MONOID[1:], "unary_monoid",
-     "variety unary_monoid: operation is not associative"),
+    (IllTyped, 2, (Operation("*", 2, (1, 0, 0, 0)),) + UNIT_MONOID[1:],
+     "unary_monoid", "variety unary_monoid: operation is not associative"),
+    (MissingOperation, 2, UNIT_MONOID[1:], "magma",
+     "variety magma needs a binary operation"),
+    (MissingOperation, 2, (), "cmag", "variety cmag needs a binary operation"),
+    (MissingOperation, 2, UNIT_MONOID[1:], "ccm_magma",
+     "variety ccm_magma needs a binary operation"),
+    (MissingOperation, 2, UNIT_MONOID[1:], "group",
+     "variety group needs a binary operation"),
+    (MissingOperation, 2, BINARY, "dimagma",
+     "variety dimagma needs two binary operations"),
+    (MissingOperation, 2, BINARY, "lattice",
+     "variety lattice needs meet and join"),
+    (MissingOperation, 2, UNIT_MONOID[:2] + BINARY, "unary_monoid",
+     "variety unary_monoid needs binary, unary and nullary operations"),
 ]
 
 
-@pytest.mark.parametrize("n, ops, variety, message", VARIETY_BRANCHES,
+@pytest.mark.parametrize("error, n, ops, variety, message", VARIETY_BRANCHES,
                          ids=[m for *_, m in VARIETY_BRANCHES])
-def test_each_variety_axiom_branch_names_its_law(n, ops, variety, message):
-    with pytest.raises(IllTyped) as exc:
+def test_each_variety_axiom_branch_names_its_law(error, n, ops, variety,
+                                                 message):
+    with pytest.raises(error) as exc:
         OpAlgebra(n, ops, variety)
     assert str(exc.value) == message
-    with pytest.raises(IllTyped, match=message.replace("(", r"\(")
+    with pytest.raises(error, match=message.replace("(", r"\(")
                        .replace(")", r"\)")):
         oracle_validate_variety_axioms(OpAlgebra(n, ops), variety)
+
+
+UNIQUE_SOLUTION = "unique solution of x bar(b) b = a bar(b) c"
+# (tag, an algebra of that variety, its criterion or its
+# UnsupportedVariety text), in the order of algebra.VARIETIES
+VARIETY_CRITERIA = [
+    ("magma", left_projection_magma(),
+     "no classification criterion for 'magma'"),
+    ("cmag", cyclic_magma(3), "cancellation"),
+    ("dimagma", m3_dimagma(), "joint cancellation"),
+    ("unary_monoid", unary_monoid_from_group(cyclic_group(3)),
+     UNIQUE_SOLUTION),
+    ("lattice", chain_lattice(2),
+     "distributivity (cross-checked by joint cancellation)"),
+    ("ccm_magma", OpAlgebra(3, cyclic_magma(3).ops, "ccm_magma"),
+     "cancellation"),
+    ("group", cyclic_group(3), UNIQUE_SOLUTION),
+    ("custom", two_element_set_algebra(),
+     "no classification criterion for 'custom'"),
+]
+
+
+@pytest.mark.parametrize("variety, A, expected", VARIETY_CRITERIA,
+                         ids=[v for v, *_ in VARIETY_CRITERIA])
+def test_each_variety_classifies_by_its_criterion(variety, A, expected):
+    assert [v for v, *_ in VARIETY_CRITERIA] == list(algebra.VARIETIES)
+    assert A.variety == variety
+    if expected.startswith("no classification criterion"):
+        with pytest.raises(UnsupportedVariety) as exc:
+            classify_wm_object(A)
+        assert str(exc.value) == expected
+        return
+    cls = classify_wm_object(A)
+    assert cls.criterion == expected
+    assert cls.report.details[-1] == f"criterion: {expected}"
 
 
 EMPTY_GROUP = OpAlgebra(0, (Operation("*", 2, ()),), "group")
@@ -1332,6 +1384,38 @@ def test_no_apply_call_is_left_outside_opalgebra_apply():
                     node.func.attr == "apply":
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_no_variety_tag_is_compared_outside_the_variety_table():
+    """What a tag means is read from `VARIETY_TABLE`: no comparison in
+    algebra.py puts `.variety`, or a name bound to it, against a string
+    literal, save the group fallback of `_unique_solution_criterion`."""
+    tree = ast.parse(Path(algebra.__file__).read_text(encoding="utf-8"))
+
+    def is_variety(node):
+        return isinstance(node, ast.Attribute) and node.attr == "variety"
+
+    aliases = {target.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and is_variety(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+
+    def is_tag(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(is_tag, node.elts))
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    allowed = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_unique_solution_criterion")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(is_variety(x) or isinstance(x, ast.Name) and x.id in
+                   aliases for x in sides) and any(map(is_tag, sides)) \
+                    and not allowed.lineno <= node.lineno <= allowed.end_lineno:
+                found.append(node.lineno)
+    assert found == []
 
 
 def test_no_module_in_the_library_has_an_unused_import():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -306,9 +307,24 @@ def test_reports_are_byte_stable(capsys):
     assert out1 == out2
 
 
+ALGEBRA_SCHEMA = """\
+{
+  "fields": {
+    "ops": "list of {symbol, arity, table}; tables are flat, \
+lexicographically indexed by argument tuples",
+    "size": "int >= 0",
+    "variety": "one of magma, cmag, dimagma, unary_monoid, lattice, \
+ccm_magma, group, custom"
+  },
+  "kind": "algebra"
+}
+"""
+
+
 def test_schema_flag(capsys):
+    # the variety list is read off algebra.VARIETY_TABLE; the text is pinned
     assert main(["--schema", "algebra"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == ALGEBRA_SCHEMA
     assert main(["--schema", "nope"]) == 2
 
 
@@ -340,6 +356,21 @@ def test_shared_parser_keeps_no_state_between_calls():
     assert (second.file, second.swapped) == ("b.json", False)
 
 
+def test_kite_check_names_a_bad_directed_kite_witness_as_json(capsys,
+                                                              tmp_path):
+    # the kernel-pair kite of 2 -> 1, with alpha r = beta broken at 0
+    span = write(tmp_path, "span.json", {
+        "kind": "span", "d": finmap(2, 1, [0, 0]), "c": finmap(2, 1, [0, 0])})
+    code, kite = run(capsys, "kite", "build", "--from", "span", span)
+    assert code == 0 and kite["alpha"]["table"] == [0, 0, 1, 1]
+    kite["alpha"]["table"] = [1, 0, 1, 1]
+    code, err = one_json_error(capsys, ["kite", "check",
+                                        write(tmp_path, "bad.json", kite)])
+    what, _, witness = err["error"].partition(": ")
+    assert code == 2 and what == "invalid directed kite"
+    assert json.loads(witness) == {"element": 0, "equation": "alpha r = beta"}
+
+
 def one_json_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -367,6 +398,21 @@ def test_wm_object_count_past_the_digit_limit_exits_3(capsys):
         "exit": 3}
     code, out = run(capsys, "wm-object", "--size", "51")
     assert code == 1 and out["verdict"] == "fails"
+
+
+def test_wm_object_past_the_digit_limit_is_linear_in_E(capsys):
+    # E = 200^2 points, one fibre of 200 values off the cross: the count
+    # is a power and only the two least solutions are built, so no
+    # E x |D| copy of the fibres is held
+    tracemalloc.start()
+    try:
+        code, err = one_json_error(capsys, ["wm-object", "--size", "200"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err["error"].endswith("exceeds the int-to-str "
+                                               "digit limit")
+    assert peak < 32 * 2 ** 20
 
 
 def test_kite_solve_count_past_the_digit_limit_exits_3(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import ast
+import math
 import random
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -235,3 +237,82 @@ def test_maps_from_outside_are_always_validated():
                   if getattr(node, "attr", None) == "_derived"
                   or getattr(node, "id", None) == "_derived"]
     assert found == []
+
+
+def oracle_solve_cross(e1, alpha, e2, gamma, d, c, d_target, c_target, cap):
+    """(count, truncated, solution tables) read point by point: each
+    point of E may take the values of D in its (d, c)-fibre that agree
+    with every pin on it."""
+    allowed = [[v for v in range(d.dom)
+                if (d(v), c(v)) == (d_target(x), c_target(x))
+                and all(alpha(a) == v for a in range(e1.dom) if e1(a) == x)
+                and all(gamma(b) == v for b in range(e2.dom) if e2(b) == x)]
+               for x in range(d_target.dom)]
+    count = math.prod(len(vs) for vs in allowed)
+    truncated = count > cap
+    tables = islice(product(*allowed), 2) if truncated else product(*allowed)
+    return count, truncated, [list(t) for t in tables]
+
+
+@st.composite
+def cross_problems(draw):
+    """Tiny solve_cross inputs: D -> B0 x B1 over E -> B0 x B1, with pins
+    from A and C that may fall on or off their point's fibre, may
+    disagree, and may miss E altogether."""
+    n_d, n_e = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    b0, b1 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def fm(dom, cod):
+        return FinMap(dom, cod, tuple(draw(st.lists(
+            st.integers(0, cod - 1), min_size=dom, max_size=dom)))
+            if dom else ())
+    n_a = draw(st.integers(0, 2)) if n_e else 0
+    n_c = draw(st.integers(0, 2)) if n_e else 0
+    return (fm(n_a, n_e), fm(n_a, n_d), fm(n_c, n_e), fm(n_c, n_d),
+            fm(n_d, b0), fm(n_d, b1), fm(n_e, b0), fm(n_e, b1),
+            draw(st.sampled_from([0, 1, 2, 3, math.inf])))
+
+
+def assert_solve_cross_matches_oracle(args):
+    res = finmaps.solve_cross(*args, "cross")
+    count, truncated, tables = oracle_solve_cross(*args)
+    assert (res.count, res.truncated) == (count, truncated)
+    assert [list(s.table) for s in res.solutions] == tables
+    assert res.report.count == count
+    assert res.report.solutions == tuple(tables[:2])
+
+
+@given(cross_problems())
+@settings(max_examples=300)
+def test_solve_cross_matches_the_pointwise_oracle(args):
+    assert_solve_cross_matches_oracle(args)
+
+
+def test_solve_cross_edge_cases_match_the_pointwise_oracle():
+    one, two = identity(1), FinMap(2, 1, (0, 0))
+    none = FinMap(0, 2, ())
+    free = (none, FinMap(0, 2, ()), none, FinMap(0, 2, ()), two, two)
+    for cap in (0, 1, math.inf):
+        # two free points over a fibre of 2: count 4, or 0 with no E
+        assert_solve_cross_matches_oracle(free + (two, two, cap))
+        assert_solve_cross_matches_oracle(
+            (FinMap(0, 0, ()), FinMap(0, 2, ()), FinMap(0, 0, ()),
+             FinMap(0, 2, ()), two, two, FinMap(0, 1, ()), FinMap(0, 1, ()),
+             cap))
+    pin_0 = FinMap(1, 2, (0,))
+    for cap in (0, 1):
+        # a pin on the cross leaves count 1; the second point is free
+        assert_solve_cross_matches_oracle(
+            (pin_0, FinMap(1, 2, (1,)), pin_0, FinMap(1, 2, (1,)), two, two,
+             two, two, cap))
+        # pins that disagree, across e1 and e2 or within e1, and a pin
+        # off its point's fibre: count 0
+        assert_solve_cross_matches_oracle(
+            (FinMap(2, 2, (0, 0)), FinMap(2, 2, (0, 1)), none,
+             FinMap(0, 2, ()), two, two, two, two, cap))
+        assert_solve_cross_matches_oracle(
+            (pin_0, FinMap(1, 2, (0,)), pin_0, FinMap(1, 2, (1,)), two, two,
+             two, two, cap))
+        assert_solve_cross_matches_oracle(
+            (FinMap(1, 1, (0,)), FinMap(1, 2, (1,)), FinMap(0, 1, ()),
+             FinMap(0, 2, ()), FinMap(2, 2, (0, 1)), two, one, one, cap))

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -244,8 +245,13 @@ def test_noncommuting_square_raises():
     h = DirectedKiteMorphism(dk, dk, identity(dk.f.dom), identity(dk.f.cod),
                              identity(dk.g.dom), bad,
                              identity(dk.d.cod), identity(dk.c.cod))
-    with pytest.raises(NonCommutingSquare):
-        induced_kite(h)
+    for call in (lambda: induced_kite(h), lambda: compat_check(h, bad, bad)):
+        with pytest.raises(NonCommutingSquare) as exc:
+            call()
+        what, _, witness = str(exc.value).partition(": ")
+        assert what == "invalid kite morphism"
+        assert json.loads(witness) == {"element": 0,
+                                       "square": "alpha' hA = hD alpha"}
 
 
 # Nested-loop definitions, kept as oracles for the constructions that
