@@ -107,7 +107,7 @@ def _cmd_lp_check(args) -> int:
     extra = {}
     if res.cospan is not None:
         extra["cospan"] = {n: schemas.dump_finmap(getattr(res.cospan, n))
-                           for n in ("f", "r", "g", "s")}
+                           for _, n in schemas.KINDS["split_cospan"].maps}
     if res.regenerated is not None:
         extra["labels"] = [list(lab) for lab in res.regenerated.element_labels]
     return _emit(args, res.report, extra)

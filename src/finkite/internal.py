@@ -34,14 +34,6 @@ class Span:
     def D(self) -> int:
         return self.d.dom
 
-    @property
-    def D0(self) -> int:
-        return self.d.cod
-
-    @property
-    def D1(self) -> int:
-        return self.c.cod
-
 
 @dataclass(frozen=True)
 class ReflexiveGraph:
@@ -62,10 +54,6 @@ class ReflexiveGraph:
     @property
     def C0(self) -> int:
         return self.d.cod
-
-    @property
-    def span(self) -> Span:
-        return Span(self.d, self.c)
 
 
 def _first_violation(checks, labels=None, key="equation") -> Optional[Report]:
@@ -345,10 +333,6 @@ class DirectedKite:
             raise DomainMismatch("alpha, beta, gamma must share a codomain D")
         if self.d.dom != D or self.c.dom != D:
             raise DomainMismatch("the direction span must start at D")
-
-    @property
-    def span(self) -> Span:
-        return Span(self.d, self.c)
 
 
 def validate_directed_kite(dk: DirectedKite) -> Report:

@@ -6,6 +6,7 @@ lexicographically; equality of constructed objects is label-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .errors import CompatibilityViolation, DomainMismatch, InvalidSplitting
@@ -288,16 +289,8 @@ def local_coproduct_compare(lp: LocalProduct) -> Report:
     # class of a -> e1(a), class of c -> e2(c); well defined since e1 r = e2 s.
     target = [None] * po.size
     details = [f"pushout size {po.size}", f"local product size {lp.E}"]
-    for a in range(lp.source.A):
-        k = po.q1.table[a]
-        v = lp.e1.table[a]
-        if target[k] is not None and target[k] != v:
-            return fails("pushout-compare", {"class": k}, details +
-                         ["canonical map is not well defined"])
-        target[k] = v
-    for c in range(lp.source.C):
-        k = po.q2.table[c]
-        v = lp.e2.table[c]
+    for k, v in chain(zip(po.q1.table, lp.e1.table),
+                      zip(po.q2.table, lp.e2.table)):
         if target[k] is not None and target[k] != v:
             return fails("pushout-compare", {"class": k}, details +
                          ["canonical map is not well defined"])

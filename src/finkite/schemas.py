@@ -2,8 +2,9 @@
 
 All tables are 0-based index sequences.  Each bundle carries a "kind"
 field; `KINDS` says, for each kind, which maps the file holds, the
-structure built from them and the check `validate` runs on it.  Loaders
-point at the offending field on malformed input.
+structure built from them, the check `validate` runs on it and the
+schema `--schema` prints.  Loaders point at the offending field on
+malformed input.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import internal, kitecond, limits
-from .algebra import (VARIETIES, OpAlgebra, Operation, VarietyKite,
-                      _table_length_error)
+from .algebra import (_LEG_NAMES, VARIETIES, OpAlgebra, Operation,
+                      VarietyKite, _table_length_error)
 from .errors import SchemaError
 from .finmaps import FinMap
 from .internal import (DirectedKite, MultiplicativeGraph, Pregroupoid,
@@ -21,111 +22,6 @@ from .internal import (DirectedKite, MultiplicativeGraph, Pregroupoid,
 from .kitecond import AdmissibilityKite, KiteDiagram
 from .limits import SplitCospan
 from .report import Report, holds
-
-_FINMAP_SCHEMA = {
-    "type": "object",
-    "fields": {"dom": "int >= 0", "cod": "int >= 0",
-               "table": "list of ints < cod, length dom"},
-}
-
-SCHEMAS: dict[str, dict] = {
-    "finmap": {"kind": "finmap", **_FINMAP_SCHEMA},
-    "split_cospan": {
-        "kind": "split_cospan",
-        "fields": {k: "finmap" for k in ("f", "r", "g", "s")},
-        "laws": ["f r = 1_B", "g s = 1_B"],
-    },
-    "span": {"kind": "span", "fields": {"d": "finmap", "c": "finmap"},
-             "laws": ["d and c share their domain"]},
-    "reflexive_graph": {
-        "kind": "reflexive_graph",
-        "fields": {"d": "finmap C1 -> C0", "c": "finmap C1 -> C0",
-                   "e": "finmap C0 -> C1"},
-        "laws": ["d e = 1", "c e = 1"],
-    },
-    "multiplicative_graph": {
-        "kind": "multiplicative_graph",
-        "fields": {"d": "finmap", "c": "finmap", "e": "finmap",
-                   "m": "finmap C2 -> C1 over the canonical C2 "
-                        "(pairs (x, y) with d(x) = c(y), lex ordered)"},
-        "laws": ["d m = d pi2", "c m = c pi1"],
-    },
-    "unital_multiplicative_graph": {
-        "kind": "unital_multiplicative_graph",
-        "fields": "as multiplicative_graph",
-        "laws": ["m e1 = 1", "m e2 = 1"],
-    },
-    "category": {"kind": "category", "fields": "as multiplicative_graph",
-                 "laws": ["associativity on composable triples"]},
-    "groupoid": {"kind": "groupoid", "fields": "as multiplicative_graph",
-                 "laws": ["<m, pi2> bijective onto the kernel pair of d"]},
-    "pregroupoid": {
-        "kind": "pregroupoid",
-        "fields": {"d": "finmap", "c": "finmap",
-                   "p": "finmap D(d,c) -> D over the canonical triples"},
-        "laws": ["p(x,y,y) = x", "p(y,y,z) = z",
-                 "d p(x,y,z) = d(z)", "c p(x,y,z) = c(x)"],
-    },
-    "directed_kite": {
-        "kind": "directed_kite",
-        "fields": {k: "finmap" for k in
-                   ("f", "r", "s", "g", "alpha", "beta", "gamma", "d", "c")},
-        "laws": ["f r = 1_B = g s", "alpha r = beta = gamma s",
-                 "d alpha = d beta f", "c beta g = c gamma"],
-    },
-    "kite_diagram": {
-        "kind": "kite_diagram",
-        "fields": {k: "finmap" for k in
-                   ("p1", "p2", "e1", "e2", "alpha", "beta", "gamma", "d", "c")},
-        "laws": ["hypotheses (1)-(5); see `kite check`"],
-    },
-    "lp_diagram": {
-        "kind": "lp_diagram",
-        "fields": {k: "finmap" for k in ("p1", "p2", "e1", "e2")},
-    },
-    "admissibility_kite": {
-        "kind": "admissibility_kite",
-        "fields": {k: "finmap" for k in
-                   ("f", "r", "s", "g", "alpha", "beta", "gamma")},
-        "laws": ["f r = 1_B = g s", "alpha r = beta = gamma s"],
-    },
-    "algebra": {
-        "kind": "algebra",
-        "fields": {"size": "int >= 0",
-                   "variety": "one of " + ", ".join(VARIETIES),
-                   "ops": "list of {symbol, arity, table}; tables are flat, "
-                          "lexicographically indexed by argument tuples"},
-    },
-    "variety_kite": {
-        "kind": "variety_kite",
-        "fields": {"A": "algebra", "B": "algebra", "C": "algebra",
-                   "D": "algebra",
-                   "f": "hom table A -> B", "r": "hom table B -> A",
-                   "s": "hom table B -> C", "g": "hom table C -> B",
-                   "alpha": "hom table A -> D", "beta": "hom table B -> D",
-                   "gamma": "hom table C -> D"},
-        "laws": ["f r = 1_B = g s", "alpha r = beta = gamma s",
-                 "all maps are homomorphisms"],
-    },
-    "report": {
-        "kind": "report",
-        "fields": {"command": "string",
-                   "verdict": "holds | fails | count:<k> | inconclusive",
-                   "witness": "present on every fails",
-                   "details": "list of per-condition verdicts",
-                   "count": "int, with up to two lex-least solutions",
-                   "solutions": "list of tables",
-                   "version": "schema version"},
-    },
-}
-
-
-def schema_text(name: str) -> str:
-    if name not in SCHEMAS:
-        raise SchemaError(f"no schema named {name!r}; known: "
-                       + ", ".join(sorted(SCHEMAS)))
-    return json.dumps(SCHEMAS[name], indent=2, sort_keys=True)
-
 
 def _need(obj: Any, field: str, where: str):
     if not isinstance(obj, dict):
@@ -208,7 +104,7 @@ def load_variety_kite(obj: dict, max_size=None) -> VarietyKite:
     algs = {n: load_algebra(_need(obj, n, "variety_kite"), max_size=max_size)
             for n in ("A", "B", "C", "D")}
     homs = {}
-    for n in ("f", "r", "s", "g", "alpha", "beta", "gamma"):
+    for n in _LEG_NAMES:
         h = _need(obj, n, "variety_kite")
         if not isinstance(h, list) or not all(_is_int(v) for v in h):
             raise SchemaError(f"variety_kite.{n}: must be a list of ints")
@@ -220,8 +116,7 @@ def dump_variety_kite(vk: VarietyKite) -> dict:
     return {"kind": "variety_kite",
             "A": dump_algebra(vk.A), "B": dump_algebra(vk.B),
             "C": dump_algebra(vk.C), "D": dump_algebra(vk.D),
-            **{n: list(getattr(vk, n))
-               for n in ("f", "r", "s", "g", "alpha", "beta", "gamma")}}
+            **{n: list(getattr(vk, n)) for n in _LEG_NAMES}}
 
 
 class Kind(NamedTuple):
@@ -232,10 +127,16 @@ class Kind(NamedTuple):
     `reflexive_graph`).  `build` makes the structure from the loaded
     maps by field name; a kind without map fields reads its own format
     through `build(obj, max_size)`.  `check` gives the report `validate`
-    emits for the loaded structure."""
+    emits for the loaded structure.  `fields` and `laws` are what
+    `--schema` prints: `fields` describes each map field that says more
+    than "finmap" (or is the text that names another kind's fields), and
+    is the whole field description of a kind that reads its own
+    format."""
     maps: tuple[tuple[str, str], ...]
     build: Callable[..., Any]
     check: Callable[[Any], Report]
+    fields: str | dict[str, str] = {}
+    laws: tuple[str, ...] = ()
 
 
 def _fields(owner: str, names: str) -> tuple[tuple[str, str], ...]:
@@ -252,53 +153,111 @@ def _multiplicative_graph(d, c, e, m) -> MultiplicativeGraph:
 
 _RG = _fields("reflexive_graph", "d c e")
 _MG = _RG + (("multiplicative_graph", "m"),)
+_AS_MG = "as multiplicative_graph"
+_KITE_LAWS = ("f r = 1_B = g s", "alpha r = beta = gamma s")
 
 # Checks and loaders are looked up on their modules at call time, so a
 # wrapper installed there (as bench/tracer.py does) sees the call.
 KINDS: dict[str, Kind] = {
     "finmap": Kind((), lambda obj, max_size: load_finmap(obj, "finmap",
                                                          max_size),
-                   _laws_hold("finmap")),
+                   _laws_hold("finmap"),
+                   fields={"dom": "int >= 0", "cod": "int >= 0",
+                           "table": "list of ints < cod, length dom"}),
     "split_cospan": Kind(_fields("split_cospan", "f r g s"), SplitCospan,
-                         _laws_hold("split_cospan")),
-    "span": Kind(_fields("span", "d c"), Span, _laws_hold("span")),
+                         _laws_hold("split_cospan"),
+                         laws=("f r = 1_B", "g s = 1_B")),
+    "span": Kind(_fields("span", "d c"), Span, _laws_hold("span"),
+                 laws=("d and c share their domain",)),
     "reflexive_graph": Kind(
         _RG, ReflexiveGraph,
-        lambda rg: internal.validate_reflexive_graph(rg)),
+        lambda rg: internal.validate_reflexive_graph(rg),
+        fields={"d": "finmap C1 -> C0", "c": "finmap C1 -> C0",
+                "e": "finmap C0 -> C1"},
+        laws=("d e = 1", "c e = 1")),
     "multiplicative_graph": Kind(
         _MG, _multiplicative_graph,
-        lambda mg: internal.validate_multiplicative_graph(mg)),
+        lambda mg: internal.validate_multiplicative_graph(mg),
+        fields={"m": "finmap C2 -> C1 over the canonical C2 "
+                     "(pairs (x, y) with d(x) = c(y), lex ordered)"},
+        laws=("d m = d pi2", "c m = c pi1")),
     "unital_multiplicative_graph": Kind(
         _MG, _multiplicative_graph,
-        lambda mg: internal.validate_unital_multiplicative_graph(mg)),
+        lambda mg: internal.validate_unital_multiplicative_graph(mg),
+        fields=_AS_MG, laws=("m e1 = 1", "m e2 = 1")),
     "category": Kind(_MG, _multiplicative_graph,
-                     lambda mg: internal.validate_category(mg)),
+                     lambda mg: internal.validate_category(mg),
+                     fields=_AS_MG,
+                     laws=("associativity on composable triples",)),
     "groupoid": Kind(_MG, _multiplicative_graph,
-                     lambda mg: internal.validate_groupoid(mg)),
+                     lambda mg: internal.validate_groupoid(mg),
+                     fields=_AS_MG,
+                     laws=("<m, pi2> bijective onto the kernel pair of d",)),
     "pregroupoid": Kind(
         _fields("span", "d c") + (("pregroupoid", "p"),),
         lambda d, c, p: Pregroupoid(Span(d, c), p),
-        lambda pg: internal.validate_pregroupoid(pg)),
+        lambda pg: internal.validate_pregroupoid(pg),
+        fields={"p": "finmap D(d,c) -> D over the canonical triples"},
+        laws=("p(x,y,y) = x", "p(y,y,z) = z",
+              "d p(x,y,z) = d(z)", "c p(x,y,z) = c(x)")),
     "directed_kite": Kind(
         _fields("directed_kite", "f r s g alpha beta gamma d c"),
-        DirectedKite, lambda dk: internal.validate_directed_kite(dk)),
+        DirectedKite, lambda dk: internal.validate_directed_kite(dk),
+        laws=_KITE_LAWS + ("d alpha = d beta f", "c beta g = c gamma")),
     "kite_diagram": Kind(
         _fields("kite_diagram", "p1 p2 e1 e2 alpha beta gamma d c"),
-        KiteDiagram, lambda kd: kitecond.check_hypotheses(kd)),
+        KiteDiagram, lambda kd: kitecond.check_hypotheses(kd),
+        laws=("hypotheses (1)-(5); see `kite check`",)),
     "lp_diagram": Kind(
         _fields("lp_diagram", "p1 p2 e1 e2"), SimpleNamespace,
         lambda lp: limits.check_local_product_intrinsic(**vars(lp)).report),
     "admissibility_kite": Kind(
         _fields("admissibility_kite", "f r s g alpha beta gamma"),
-        AdmissibilityKite, _laws_hold("admissibility_kite")),
+        AdmissibilityKite, _laws_hold("admissibility_kite"),
+        laws=_KITE_LAWS),
     "algebra": Kind(
         (), lambda obj, max_size: load_algebra(obj, max_size=max_size),
         lambda a: holds("validate", [f"algebra of size {a.size}, "
-                                     f"variety {a.variety}"])),
+                                     f"variety {a.variety}"]),
+        fields={"size": "int >= 0",
+                "variety": "one of " + ", ".join(VARIETIES),
+                "ops": "list of {symbol, arity, table}; tables are flat, "
+                       "lexicographically indexed by argument tuples"}),
     "variety_kite": Kind(
         (), lambda obj, max_size: load_variety_kite(obj, max_size),
-        lambda _: holds("validate", ["variety kite laws hold"])),
+        lambda _: holds("validate", ["variety kite laws hold"]),
+        fields={**{n: "algebra" for n in "ABCD"},
+                **{n: f"hom table {a} -> {b}" for n, a, b in
+                   zip(_LEG_NAMES, "ABBCABC", "BACBDDD")}},
+        laws=_KITE_LAWS + ("all maps are homomorphisms",)),
 }
+
+# The schema `--schema NAME` prints: a map field defaults to "finmap".
+SCHEMAS: dict[str, dict] = {
+    kind: {"kind": kind,
+           "fields": ({n: row.fields.get(n, "finmap") for _, n in row.maps}
+                      if isinstance(row.fields, dict) and row.maps
+                      else row.fields),
+           **({"laws": list(row.laws)} if row.laws else {})}
+    for kind, row in KINDS.items()}
+SCHEMAS["finmap"]["type"] = "object"
+SCHEMAS["report"] = {
+    "kind": "report",
+    "fields": {"command": "string",
+               "verdict": "holds | fails | count:<k> | inconclusive",
+               "witness": "present on every fails",
+               "details": "list of per-condition verdicts",
+               "count": "int, with up to two lex-least solutions",
+               "solutions": "list of tables",
+               "version": "schema version"},
+}
+
+
+def schema_text(name: str) -> str:
+    if name not in SCHEMAS:
+        raise SchemaError(f"no schema named {name!r}; known: "
+                       + ", ".join(sorted(SCHEMAS)))
+    return json.dumps(SCHEMAS[name], indent=2, sort_keys=True)
 
 
 def load_maps(kind: str, obj: Any, max_size: Optional[int] = None) -> Any:

@@ -11,7 +11,7 @@ from finkite.cli import _commutative_tables, build_parser, main
 from finkite.errors import IllTyped
 from finkite.schemas import dump_algebra, dump_finmap, dump_maps
 from finkite.gallery import (cyclic_magma, m3_lattice, meet_semilattice2,
-                             terminal_span_kite)
+                             preorder_graph_01, terminal_span_kite)
 
 
 def write(tmp_path, name, payload):
@@ -121,6 +121,22 @@ def test_kite_build_from_graph_sources(capsys, tmp_path):
     for source in ("umg", "cat"):
         code, kite = run(capsys, "kite", "build", "--from", source, path)
         assert code == 0 and kite["kind"] == "directed_kite"
+
+
+def test_validate_groupoid_reports_the_missed_kernel_pair_element(
+        capsys, tmp_path):
+    # the order category on {0 <= 1} is a category but not a groupoid
+    rg = preorder_graph_01()
+    path = write(tmp_path, "cat.json", {
+        "kind": "category", "d": dump_finmap(rg.d), "c": dump_finmap(rg.c),
+        "e": dump_finmap(rg.e),
+        "m": {"dom": 4, "cod": 3, "table": [0, 1, 1, 2]}})
+    code, _ = run(capsys, "validate", path)
+    assert code == 0
+    code, out = run(capsys, "validate", path, "--kind", "groupoid")
+    assert code == 1
+    assert out["witness"] == {"element": [0, 1],
+                              "equation": "<m, pi2> is not surjective"}
 
 
 def test_wm_object_exit_codes(capsys):
@@ -307,25 +323,19 @@ def test_reports_are_byte_stable(capsys):
     assert out1 == out2
 
 
-ALGEBRA_SCHEMA = """\
-{
-  "fields": {
-    "ops": "list of {symbol, arity, table}; tables are flat, \
-lexicographically indexed by argument tuples",
-    "size": "int >= 0",
-    "variety": "one of magma, cmag, dimagma, unary_monoid, lattice, \
-ccm_magma, group, custom"
-  },
-  "kind": "algebra"
-}
-"""
+# every `--schema NAME` output as recorded, and the error for an unknown
+# name: the texts are derived from schemas.KINDS (the algebra variety list
+# from algebra.VARIETY_TABLE), so any change to a row's text shows here
+SCHEMA_TEXTS = json.loads((Path(__file__).parent / "assets" /
+                           "schema_texts.json").read_text(encoding="utf-8"))
 
 
 def test_schema_flag(capsys):
-    # the variety list is read off algebra.VARIETY_TABLE; the text is pinned
-    assert main(["--schema", "algebra"]) == 0
-    assert capsys.readouterr().out == ALGEBRA_SCHEMA
-    assert main(["--schema", "nope"]) == 2
+    for name, recorded in SCHEMA_TEXTS.items():
+        code = main(["--schema", name])
+        captured = capsys.readouterr()
+        assert {"exit": code, "stdout": captured.out,
+                "stderr": captured.err} == recorded, name
 
 
 def test_human_flag(capsys):

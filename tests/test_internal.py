@@ -117,6 +117,17 @@ def test_groupoid_check_iff_group_over_monoids():
             assert validate_groupoid(mg).ok == is_group_table(table)
 
 
+def test_groupoid_check_finds_a_kernel_pair_element_missed():
+    # the order category on {0 <= 1}: C2 has 4 pairs, the kernel pair of
+    # d has 5, so <m, pi2> is injective but not surjective
+    mg = MultiplicativeGraph(preorder_graph_01(), FinMap(4, 3, (0, 1, 1, 2)))
+    assert validate_category(mg).ok
+    rep = validate_groupoid(mg)
+    assert not rep.ok
+    assert rep.witness == {"element": [0, 1],
+                           "equation": "<m, pi2> is not surjective"}
+
+
 def test_umg_uniqueness_on_reflexive_relations():
     # a reflexive relation admits at most one unital multiplicative
     # structure, and exactly one iff it is transitive

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from finkite.errors import SchemaError
@@ -66,6 +69,14 @@ def test_every_kind_has_a_schema_naming_its_maps():
             fields = SCHEMAS[fields.split()[-1]]["fields"]
         if row.maps:
             assert list(fields) == [n for _, n in row.maps], kind
+
+
+def test_readme_lists_every_schema_in_order():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    formats = readme.split("## File formats", 1)[1]
+    listed = re.search(r"prints each of: (.*?)\.\n", formats, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(SCHEMAS)
 
 
 def test_non_object_entry_is_a_schema_error():
