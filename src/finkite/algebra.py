@@ -1,14 +1,15 @@
 """Finite algebras as operation tables and their Mal'tsev-style checks.
 
 Tables are flat and lexicographically indexed by argument tuples, and
-the hot loops index them directly; relation closure is semi-naive and
+the hot loops index or slice them directly; relation closure is
+semi-naive and runs once per transpose pair of principal relations;
 the admissibility search propagates through per-element watch lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, groupby, product
+from itertools import chain, combinations, groupby, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -395,12 +396,17 @@ def maltsev_table(A: OpAlgebra) -> MaltsevTable:
                 unit = fails("maltsev-unit-laws", {"law": "p(b,b,c)=c",
                                                    "pair": [b, a]})
     # p(a,b,c) * p(a2,b2,c2) = p(a*a2, b*b2, c*c2), all (a2, b2, c2) at
-    # once; the left side depends only on u = p(a,b,c)
+    # once; the left side depends only on u = p(a,b,c).  The right side
+    # reads each block x n + y, x in row a and y in row b, at the places
+    # in row c; picked[c] holds those reads for every block
     hom = holds("maltsev-hom-law")
     lhs_of = [[row[v] for v in table] for row in rows]
+    blocks = [table[k * n:(k + 1) * n] for k in range(n * n)]
+    picked = [[[blk[z] for z in row] for blk in blocks] for row in rows]
     for u, (a, b, c) in zip(table, product(range(n), repeat=3)):
-        rhs = [table[(x * n + y) * n + z]
-               for x in rows[a] for y in rows[b] for z in rows[c]]
+        if c == 0:
+            keys = [x * n + y for x in rows[a] for y in rows[b]]
+        rhs = list(chain.from_iterable(map(picked[c].__getitem__, keys)))
         w = _first_difference(lhs_of[u], rhs, n, 3)
         if w is not None:
             hom = fails("maltsev-hom-law", {"tuple": [a, b, c] + w})
@@ -635,12 +641,16 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
     R u P(q), P(q) being the principal relation closure(diagonal u {q}),
     so within one R a single closure per distinct P(q) is enough (after
     Freese, "Computing congruences efficiently", 2008); on the closure
-    of the diagonal it is P(q) itself.  Every candidate q still counts
-    one unit of the budget.  Raises BudgetExceeded, with the relations
-    found so far as its partial, when more than `budget` candidates
-    would be needed or a closure grows past SUBALGEBRA_CAP pairs; a
-    negative budget is IllTyped.  Relations are held as sorted codes
-    x * |A| + y, as `_close` gives them."""
+    of the diagonal, the diagonal itself, it is P(q).  Swapping
+    coordinates is an automorphism of A x A fixing the diagonal, so
+    P(y, x) is P(x, y) transposed and one of each pair is closed.  Every
+    candidate q still counts one unit of the budget, and a transposed
+    P(q) is as large as one already within the cap, so the enumeration
+    stops where and as it did.  Raises BudgetExceeded, with the
+    relations found so far as its partial, when more than `budget`
+    candidates would be needed or a closure grows past SUBALGEBRA_CAP
+    pairs; a negative budget is IllTyped.  Relations are held as sorted
+    codes x * |A| + y, as `_close` gives them."""
     if budget < 0:
         raise IllTyped(f"budget must be >= 0, got {budget}")
     n = A.size
@@ -665,7 +675,12 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
                         f"relation enumeration exceeded budget {budget}")
                 p = principal.get(q)
                 if p is None:     # first met in base's pass: have = base
-                    p = principal[q] = _close(A, have, {q}, SUBALGEBRA_CAP)
+                    pt = principal.get(q % n * n + q // n)    # P(q^T)
+                    if pt is None:
+                        p = _close(A, have, {q}, SUBALGEBRA_CAP)
+                    else:         # P(q) = P(q^T) transposed
+                        p = tuple(sorted(v % n * n + v // n for v in pt))
+                    principal[q] = p
                 if p in done:
                     continue
                 done.add(p)

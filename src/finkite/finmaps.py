@@ -7,7 +7,6 @@ tables, so all values here are immutable and all functions pure.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -226,7 +225,9 @@ def solve_cross(e1: FinMap, alpha: FinMap, e2: FinMap, gamma: FinMap,
     The pins on the cross e1(A) u e2(C) are merged first; every other
     point ranges over its (d, c)-fibre, read from one index of those
     fibres, so the count is the product of the fibre sizes, one power
-    per distinct size, and the cost O(E + D) before enumeration.  All
+    per distinct size.  The fibres partition D, so there are O(sqrt D)
+    distinct sizes besides 0 and 1, each counted in one pass over the
+    E sizes: the cost is O(E sqrt D + D) before enumeration.  All
     solutions are listed when there are at most cap of them (math.inf
     lists every one), otherwise only the two least, built directly; the
     report carries at most the two least.  A negative cap is IllTyped."""
@@ -243,8 +244,8 @@ def solve_cross(e1: FinMap, alpha: FinMap, e2: FinMap, gamma: FinMap,
             allowed.append(over.get(key, ()))
         else:
             allowed.append((v,) if (d.table[v], c.table[v]) == key else ())
-    sizes = Counter(map(len, allowed))      # fibre size -> points with it
-    count = prod(size ** mult for size, mult in sizes.items())
+    lens = list(map(len, allowed))
+    count = prod(size ** lens.count(size) for size in set(lens))
     if count == 0:
         return SolveResult(0, (), False, counted(command, 0))
     truncated = count > cap

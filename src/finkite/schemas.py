@@ -271,9 +271,17 @@ def load_maps(kind: str, obj: Any, max_size: Optional[int] = None) -> Any:
                         for owner, n in row.maps})
 
 
+# The attribute under which a structure keeps a part that it is built
+# on, by the owner that `Kind.maps` names for that part's fields.
+_PARTS = {"reflexive_graph": "rg", "span": "span"}
+
+
 def dump_maps(kind: str, x: Any) -> dict:
-    """The file of a map kind for x, which holds each map as the
-    attribute of its field name (the multiplicative-graph kinds and
-    pregroupoids keep d, c and e on their graph or span instead)."""
-    return {"kind": kind,
-            **{n: dump_finmap(getattr(x, n)) for _, n in KINDS[kind].maps}}
+    """The file of a map kind for x, each map read from the owner that
+    `KINDS[kind].maps` names: x itself, or the part of x that holds it
+    (the graph of a multiplicative graph, the span of a pregroupoid)."""
+    def owner(name: str) -> Any:
+        return x if name == kind or name not in _PARTS \
+            else getattr(x, _PARTS[name])
+    return {"kind": kind, **{n: dump_finmap(getattr(owner(o), n))
+                             for o, n in KINDS[kind].maps}}

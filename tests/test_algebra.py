@@ -490,6 +490,15 @@ def small_algebras():
         lambda ns: algebras(*ns))
 
 
+def isotope(sigma, add=None):
+    """The commutative magma x * y = sigma(add(x, y)) on n = len(sigma)
+    elements, add being addition in Z_n unless given."""
+    n = len(sigma)
+    add = add or (lambda x, y: (x + y) % n)
+    return OpAlgebra(n, (Operation("*", 2, tuple(
+        sigma[add(x, y)] for x in range(n) for y in range(n))),), "cmag")
+
+
 @st.composite
 def commutative_magmas(draw, max_size=4):
     """Random commutative tables, and isotopes x * y = sigma(x + y) of
@@ -498,16 +507,14 @@ def commutative_magmas(draw, max_size=4):
     n = draw(st.integers(1, max_size))
     if draw(st.booleans()):
         sigma = draw(st.permutations(range(n)))
-        groups = [lambda x, y: (x + y) % n]
+        groups = [None]
         if n in (2, 4):
             groups.append(lambda x, y: x ^ y)
-        add = draw(st.sampled_from(groups))
-        value = {(x, y): sigma[add(x, y)] for x in range(n) for y in range(n)}
-    else:
-        value = {}
-        for x in range(n):
-            for y in range(x, n):
-                value[x, y] = value[y, x] = draw(st.integers(0, n - 1))
+        return isotope(sigma, draw(st.sampled_from(groups)))
+    value = {}
+    for x in range(n):
+        for y in range(x, n):
+            value[x, y] = value[y, x] = draw(st.integers(0, n - 1))
     return OpAlgebra(n, (Operation("*", 2, tuple(
         value[x, y] for x in range(n) for y in range(n))),), "cmag")
 
@@ -532,10 +539,59 @@ def test_reflexive_relations_match_brute_force(A, budget):
         outcome(naive_reflexive_relations, A, budget)
 
 
+# Isotopes of Z_5 and Z_6 that fail the hom law, the first two with the
+# latest first witness of their size, (0,0,0,0,1,2) and (0,0,0,0,1,3),
+# and one of Z_6 that holds it
 @given(commutative_magmas())
+@example(isotope((4, 1, 0, 3, 2)))
+@example(isotope((1, 0, 2, 3, 4)))
+@example(isotope((4, 5, 0, 2, 1, 3)))
+@example(isotope((0, 1, 3, 2, 4, 5)))
+@example(isotope((5, 4, 3, 2, 1, 0)))
 @settings(max_examples=150, deadline=None)
 def test_maltsev_table_matches_per_entry_solve(A):
     assert outcome(maltsev_table, A) == outcome(oracle_maltsev_table, A)
+
+
+def transposed(pairs):
+    return tuple(sorted((y, x) for x, y in pairs))
+
+
+@given(small_algebras(), st.tuples(st.integers(0, 2), st.integers(0, 2)))
+@example(OpAlgebra(3, (Operation("c", 0, (1,)), Operation("u", 1, (1, 2, 2)),
+                       Operation("t", 3, tuple((x * y + z) % 3 for x, y, z
+                                               in product(range(3), repeat=3))))),
+         (0, 2))
+@settings(max_examples=150, deadline=None)
+def test_principal_relations_come_in_transpose_pairs(A, q):
+    """Swapping coordinates fixes the diagonal and commutes with the
+    operations, so P(y, x) is P(x, y) transposed, and the relations
+    found are closed under transposition."""
+    x, y = (v % A.size for v in q)
+    assert relation_closure(A, [(y, x)]) == \
+        transposed(relation_closure(A, [(x, y)]))
+    rels = {r.pairs for r in reflexive_relations(A)}
+    assert {transposed(r) for r in rels} == rels
+
+
+def test_base_pass_closes_one_principal_relation_per_transpose_pair(
+        monkeypatch):
+    """On Z_5 the base pass meets all 20 pairs off the diagonal; only the
+    10 with x < y are closed, their transposes are read off them."""
+    A = cyclic_group(5)
+    diagonal = {x * 5 + x for x in range(5)}
+    calls = []
+    close = algebra._close
+
+    def counting(A, closed, new, cap):
+        if set(closed) == diagonal:
+            calls.append(tuple(new))
+        return close(A, closed, new, cap)
+
+    monkeypatch.setattr(algebra, "_close", counting)
+    assert [len(r.pairs) for r in reflexive_relations(A)] == [5, 25]
+    assert sorted(calls) == [(x * 5 + y,) for x in range(5)
+                             for y in range(x + 1, 5)]
 
 
 @given(commutative_magmas(), st.tuples(*[st.integers(0, 3)] * 3))

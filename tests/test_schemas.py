@@ -1,11 +1,17 @@
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from finkite.errors import SchemaError
-from finkite.gallery import cyclic_magma, group_pair_span, meet_semilattice2
-from finkite.internal import kite_from_span
+from finkite.finmaps import FinMap
+from finkite.gallery import (cyclic_magma, group_pair_span, meet_semilattice2,
+                             one_object_umg, preorder_graph_01,
+                             terminal_span_kite)
+from finkite.internal import Pregroupoid, Span, kite_from_span, kpc
+from finkite.kitecond import AdmissibilityKite
+from finkite.limits import SplitCospan, local_product
 from finkite.schemas import (KINDS, SCHEMAS, dump_algebra, dump_finmap,
                              dump_maps, load_algebra, load_finmap, load_maps,
                              load_variety_kite, dump_variety_kite,
@@ -13,7 +19,6 @@ from finkite.schemas import (KINDS, SCHEMAS, dump_algebra, dump_finmap,
 
 
 def test_finmap_round_trip():
-    from finkite.finmaps import FinMap
     f = FinMap(3, 2, (0, 1, 1))
     assert load_finmap(dump_finmap(f)).table == f.table
 
@@ -31,6 +36,38 @@ def test_directed_kite_round_trip():
     dk = kite_from_span(group_pair_span(2))
     again = load_maps("directed_kite", dump_maps("directed_kite", dk))
     assert again == dk
+
+
+def map_kind_examples():
+    """One structure of every kind that a file holds as maps."""
+    bang, point, one = (FinMap(2, 1, (0, 0)), FinMap(1, 2, (0,)),
+                        FinMap(2, 2, (0, 1)))
+    span = group_pair_span(2)
+    mg = one_object_umg(((0, 1), (1, 0)))
+    triples = kpc(Span(bang, bang)).triples
+    lp = local_product(SplitCospan(bang, point, bang, point))
+    return {
+        "split_cospan": lp.source,
+        "span": span,
+        "reflexive_graph": preorder_graph_01(),
+        **dict.fromkeys(["multiplicative_graph", "unital_multiplicative_graph",
+                         "category", "groupoid"], mg),
+        "pregroupoid": Pregroupoid(Span(bang, bang), FinMap(
+            len(triples), 2, tuple((x - y + z) % 2 for x, y, z in triples))),
+        "directed_kite": kite_from_span(span),
+        "kite_diagram": terminal_span_kite(2),
+        "lp_diagram": SimpleNamespace(p1=lp.p1, p2=lp.p2, e1=lp.e1, e2=lp.e2),
+        "admissibility_kite": AdmissibilityKite(bang, point, point, bang, one,
+                                                point, one),
+    }
+
+
+def test_every_map_kind_round_trips_through_its_file():
+    examples = map_kind_examples()
+    assert sorted(examples) == sorted(k for k, row in KINDS.items()
+                                      if row.maps)
+    for kind, x in examples.items():
+        assert load_maps(kind, dump_maps(kind, x)) == x, kind
 
 
 def test_algebra_round_trip_and_variety_override():
