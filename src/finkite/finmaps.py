@@ -59,7 +59,9 @@ class FinMap:
 
 
 def identity(n: int) -> FinMap:
-    return FinMap(n, n, tuple(range(n)))
+    if n < 0:
+        raise IllTyped("dom and cod must be non-negative")
+    return FinMap._derived(n, n, tuple(range(n)))
 
 
 def compose(g: FinMap, f: FinMap) -> FinMap:

@@ -188,7 +188,8 @@ def group_kite_bundle(n: int):
     the swapped kernel pair construction of the direction span, and
     mu_e on the swapped construction of the span (E, p2, p1), each a
     validated UnitalMultiplication.  Both read the Mal'tsev operation
-    from one table of its D^3 values."""
+    from one table of its D^3 values; p_e computes its value once per
+    distinct argument triple, however often maltsev_mu asks."""
     from .internal import kpc_swapped
     from .kitecond import maltsev_mu
 
@@ -210,11 +211,16 @@ def group_kite_bundle(n: int):
     zs = compose(kd.gamma, kd.p2).table
     t_index = index_of((x * D + y) * D + z for x, y, z in zip(xs, ys, zs))
 
+    memo: dict[tuple[int, int, int], int] = {}   # p_e's values so far
+
     def p_e(i: int, j: int, k: int) -> int:
-        x = table[(xs[i] * D + xs[j]) * D + xs[k]]
-        y = table[(ys[i] * D + ys[j]) * D + ys[k]]
-        z = table[(zs[i] * D + zs[j]) * D + zs[k]]
-        return t_index[(x * D + y) * D + z]
+        v = memo.get((i, j, k))
+        if v is None:
+            x = table[(xs[i] * D + xs[j]) * D + xs[k]]
+            y = table[(ys[i] * D + ys[j]) * D + ys[k]]
+            z = table[(zs[i] * D + zs[j]) * D + zs[k]]
+            v = memo[i, j, k] = t_index[(x * D + y) * D + z]
+        return v
 
     mu_e = maltsev_mu(kpc_swapped(Span(kd.p2, kd.p1)), p_e)
     return kd, mu, mu_e

@@ -409,12 +409,16 @@ def kite_from_rg_morphism(h: RGMorphism) -> DirectedKite:
 def kite_from_span(span: Span) -> DirectedKite:
     """The kernel pair construction as a directed kite; its
     multiplications correspond to pregroupoid structures on the span."""
-    k = kpc(span)
+    return _kite_from_kpc(kpc(span))
+
+
+def _kite_from_kpc(k: KpcResult) -> DirectedKite:
+    """kite_from_span on the kernel pair construction k of its span."""
     # r and s are the diagonals y -> (y, y) of the two kernel pairs.
     r, s = compose(k.p1, k.delta), compose(k.p2, k.delta)
     return DirectedKite(f=k.d2, r=r, s=s, g=k.c1,
-                        alpha=k.d1, beta=identity(span.D), gamma=k.c2,
-                        d=span.d, c=span.c)
+                        alpha=k.d1, beta=identity(k.span.D), gamma=k.c2,
+                        d=k.span.d, c=k.span.c)
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,15 @@ solution count is the product of the remaining fibre sizes.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import DomainMismatch, HypothesisViolation, IllTyped
 from .finmaps import (FinMap, SolveResult, compose, first_mismatch, identity,
                       index_of, jointly_monic, solve_cross)
-from .internal import (C2Data, DirectedKite, KpcResult, Span, _require_valid,
-                       composable_pairs, kite_from_span, kpc,
+from .internal import (C2Data, DirectedKite, KpcResult, Span, _kite_from_kpc,
+                       _require_valid, composable_pairs, kpc,
                        validate_directed_kite)
 from .limits import (LocalProduct, SplitCospan, _failed_condition,
                      _failed_conditions_1_to_3, local_product)
@@ -24,6 +25,8 @@ from .report import Report, fails, holds
 
 @dataclass(frozen=True)
 class KiteDiagram:
+    """A kite; hypotheses keeps the check_hypotheses report once decided."""
+
     p1: FinMap
     p2: FinMap
     e1: FinMap
@@ -33,6 +36,8 @@ class KiteDiagram:
     gamma: FinMap
     d: FinMap
     c: FinMap
+    hypotheses: Optional[Report] = field(default=None, init=False,
+                                         compare=False, repr=False)
 
     def __post_init__(self):
         E, A, C = self.p1.dom, self.p1.cod, self.p2.cod
@@ -84,7 +89,14 @@ def assemble_kite(dk: DirectedKite) -> tuple[KiteDiagram, LocalProduct]:
 
 def check_hypotheses(k: KiteDiagram) -> Report:
     """Conditions (1)-(5) elementwise; the kernel pair construction
-    always exists in finite sets, so (6) is reported as automatic."""
+    always exists in finite sets, so (6) is reported as automatic.
+    Decided once per kite: the report is kept on k and returned again."""
+    if k.hypotheses is None:
+        object.__setattr__(k, "hypotheses", _hypotheses(k))
+    return k.hypotheses
+
+
+def _hypotheses(k: KiteDiagram) -> Report:
     cmd = "kite-check"
     rep = _failed_conditions_1_to_3(cmd, "(e1p1)(e2p2) != (e2p2)(e1p1)",
                                     k.p1, k.p2, k.e1, k.e2)
@@ -188,27 +200,30 @@ def theta(k: KiteDiagram, mul: UnitalMultiplication) -> ThetaResult:
 
 
 def _theta(k: KiteDiagram, mul: UnitalMultiplication) -> ThetaResult:
-    """theta on a kite whose hypotheses are known to hold."""
+    """theta on a kite whose hypotheses are known to hold.  The kpc
+    triples follow the lex labels of pullback(c1, d2) and the composable
+    pairs are pullback labels, so both are lex ordered: each key is
+    bisected, then compared with the label found."""
     kswap, c2 = mul.k, mul.c2
     if not kswap.swapped or kswap.span != k.span:
         raise DomainMismatch("mu must be a multiplication on the swapped "
                              "kernel pair construction of (D, d, c)")
-    t_index = index_of(kswap.triples)
-    pair_index = index_of(c2.labels)
+    triples, pairs = kswap.triples, c2.labels
     ap1 = compose(k.alpha, k.p1)
     gp2 = compose(k.gamma, k.p2)
     table = []
     for ksi in range(k.E):
         first = (ap1.table[ksi], ap1.table[ksi], k.beta.table[ksi])
         second = (k.beta.table[ksi], gp2.table[ksi], gp2.table[ksi])
-        if first not in t_index:
+        t1, t2 = bisect_left(triples, first), bisect_left(triples, second)
+        if triples[t1:t1 + 1] != (first,):
             raise IllTyped(f"theta first component {first} is not a triple")
-        if second not in t_index:
+        if triples[t2:t2 + 1] != (second,):
             raise IllTyped(f"theta second component {second} is not a triple")
-        key = (t_index[first], t_index[second])
-        if key not in pair_index:
+        pair = bisect_left(pairs, (t1, t2))
+        if pairs[pair:pair + 1] != ((t1, t2),):
             raise IllTyped(f"theta components are not composable at {ksi}")
-        table.append(pair_index[key])
+        table.append(pair)
     th = FinMap._derived(k.E, c2.size, tuple(table))
     return ThetaResult(th, compose(kswap.mid, compose(mul.mu, th)))
 
@@ -339,10 +354,14 @@ def pregroupoid_solutions(span: Span, cap: int = 1000) -> SolveResult:
     """All pregroupoid structures on a span, by direct enumeration of
     p: D(d,c) -> D under the unit laws p(x,y,y) = x, p(y,y,z) = z and the
     laws d p(x,y,z) = d(z), c p(x,y,z) = c(x)."""
-    k = kpc(span)
-    return solve_cross(k.e1, k.d1, k.e2, k.c2, span.d, span.c,
-                       compose(span.d, k.cod), compose(span.c, k.dom), cap,
-                       "pregroupoid")
+    return _pregroupoid_solutions(kpc(span), cap)
+
+
+def _pregroupoid_solutions(k: KpcResult, cap: float) -> SolveResult:
+    """pregroupoid_solutions on the kernel pair construction k of its span."""
+    d, c = k.span.d, k.span.c
+    return solve_cross(k.e1, k.d1, k.e2, k.c2, d, c, compose(d, k.cod),
+                       compose(c, k.dom), cap, "pregroupoid")
 
 
 def kite5_pairing(span: Span, cap: int = 1000) -> Report:
@@ -350,10 +369,12 @@ def kite5_pairing(span: Span, cap: int = 1000) -> Report:
     the assembled kite correspond one-to-one with pregroupoid structures
     on the span.  The kite's local product is pullback(c1, d2), the same
     pullback that lists the kpc triples, so point xi of E is triple xi
-    and the two solution lists agree table for table."""
-    kd, _ = assemble_kite(kite_from_span(span))
+    and the two solution lists agree table for table.  Both solves read
+    one kernel pair construction."""
+    k = kpc(span)
+    kd, _ = assemble_kite(_kite_from_kpc(k))
     kite_res = solve_m(kd, cap=cap)
-    pre_res = pregroupoid_solutions(span, cap=cap)
+    pre_res = _pregroupoid_solutions(k, cap)
     if kite_res.count != pre_res.count:
         return fails("kite5-pairing", {"kite": kite_res.count,
                                        "pregroupoid": pre_res.count})

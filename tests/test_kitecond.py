@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from finkite import internal, kitecond, schemas
 from finkite.errors import (DomainMismatch, FinkiteError, HypothesisViolation,
                             IllTyped)
 from finkite.finmaps import FinMap, compose, identity, jointly_monic, maps
@@ -565,3 +566,56 @@ def test_admissibility_kite_carries_its_local_product():
     kite = wm_object_check_finset(3).witness
     bang, point = FinMap(3, 1, (0,) * 3), FinMap(1, 3, (0,))
     assert kite.lp == local_product(SplitCospan(bang, point, bang, point))
+
+
+KITE_FIELDS = "p1 p2 e1 e2 alpha beta gamma d c".split()
+
+
+def copy_kite(kd, **legs):
+    return KiteDiagram(**{name: legs.get(name, getattr(kd, name))
+                          for name in KITE_FIELDS})
+
+
+def test_kite_hypotheses_are_decided_once_and_kept_on_the_kite(monkeypatch):
+    evaluations = []
+    decide = kitecond._hypotheses
+    monkeypatch.setattr(kitecond, "_hypotheses",
+                        lambda k: evaluations.append(k) or decide(k))
+    kd, mu, mu_e = group_kite_bundle(2)
+    fresh = copy_kite(kd)
+    shown, dumped = repr(kd), schemas.dump_maps("kite_diagram", kd)
+    assert check_hypotheses(kd).ok
+    assert solve_m(kd).count == 1
+    theta(kd, mu)
+    assert delta_identity_check(kd, mu_e).ok
+    assert evaluations == [kd]
+    assert kd.hypotheses is check_hypotheses(kd)
+    assert kd.hypotheses == decide(fresh)
+    assert kd == fresh and hash(kd) == hash(fresh)
+    assert repr(kd) == shown == repr(fresh)
+    assert schemas.dump_maps("kite_diagram", kd) == dumped
+
+
+def test_a_failing_kept_report_raises_the_same_violation_every_time():
+    kd = group_kite(2)
+    alpha = kd.alpha.table
+    bad = copy_kite(kd, alpha=FinMap(kd.alpha.dom, kd.D,
+                                     ((alpha[0] + 1) % kd.D,) + alpha[1:]))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(HypothesisViolation) as exc:
+            solve_m(bad)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert not bad.hypotheses.ok
+    assert bad.hypotheses == check_hypotheses(copy_kite(bad))
+
+
+def test_kite5_pairing_builds_one_kernel_pair_construction(monkeypatch):
+    calls = []
+    build = internal._kpc_generic
+    monkeypatch.setattr(internal, "_kpc_generic",
+                        lambda *args, **kwargs: calls.append(args)
+                        or build(*args, **kwargs))
+    assert kite5_pairing(group_pair_span(3)).ok
+    assert len(calls) == 1

@@ -9,6 +9,8 @@ report bytes and the same exception types and texts.
 """
 import sys
 from collections import Counter
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from finkite.finmaps import (FinMap, compose, first_mismatch, identity,
                              index_of, jointly_monic)
 from finkite.gallery import group_kite_bundle, terminal_span_kite
 from finkite.internal import Span, composable_pairs, kpc, kpc_swapped
-from finkite.kitecond import (KiteDiagram, UnitalMultiplication,
+from finkite.kitecond import (KiteDiagram, ThetaResult, UnitalMultiplication,
                               check_hypotheses, delta_identity_check,
                               maltsev_mu, theta)
 from finkite.report import fails, holds
@@ -265,3 +267,107 @@ def test_a_perturbed_multiplication_is_rejected_before_any_kite_is_read():
     assert outcome(new_theta, broken(kd, "beta"), mul, bad) == \
         (IllTyped, "mu e1 != 1 on the triple object")
 
+
+
+def dict_theta(k, mul):
+    """kitecond._theta as first written: dicts over the whole triple
+    object and the whole object of composable pairs."""
+    kswap, c2 = mul.k, mul.c2
+    if not kswap.swapped or kswap.span != k.span:
+        raise DomainMismatch("mu must be a multiplication on the swapped "
+                             "kernel pair construction of (D, d, c)")
+    t_index = index_of(kswap.triples)
+    pair_index = index_of(c2.labels)
+    ap1 = compose(k.alpha, k.p1)
+    gp2 = compose(k.gamma, k.p2)
+    table = []
+    for ksi in range(k.E):
+        first = (ap1.table[ksi], ap1.table[ksi], k.beta.table[ksi])
+        second = (k.beta.table[ksi], gp2.table[ksi], gp2.table[ksi])
+        if first not in t_index:
+            raise IllTyped(f"theta first component {first} is not a triple")
+        if second not in t_index:
+            raise IllTyped(f"theta second component {second} is not a triple")
+        key = (t_index[first], t_index[second])
+        if key not in pair_index:
+            raise IllTyped(f"theta components are not composable at {ksi}")
+        table.append(pair_index[key])
+    th = FinMap(k.E, c2.size, tuple(table))
+    return ThetaResult(th, compose(kswap.mid, compose(mul.mu, th)))
+
+
+def kite_over_e(k):
+    """The kite of E over itself, whose theta is delta."""
+    return KiteDiagram(k.p1, k.p2, k.e1, k.e2, k.e1,
+                       compose(compose(k.e1, k.p1), compose(k.e2, k.p2)),
+                       k.e2, k.p2, k.p1)
+
+
+def theta_cases(name):
+    """(kite, multiplication) for theta and for delta on one bundle."""
+    kd, mul, mul_e = BUNDLES[name]()
+    return {"theta": (kd, mul), "delta": (kite_over_e(kd), mul_e)}
+
+
+def with_leg(kd, leg, edits):
+    table = list(getattr(kd, leg).table)
+    for i, v in edits:
+        table[i % len(table)] = v % kd.D
+    legs = {name: getattr(kd, name) for name in
+            "p1 p2 e1 e2 alpha beta gamma d c".split()}
+    legs[leg] = FinMap(len(table), kd.D, tuple(table))
+    return KiteDiagram(**legs)
+
+
+def without_label(mul, i):
+    """mul with pair i dropped from its composable pairs: a stand-in
+    that reaches theta's third IllTyped."""
+    labels = mul.c2.labels[:i] + mul.c2.labels[i + 1:]
+    return SimpleNamespace(k=mul.k, c2=replace(mul.c2, labels=labels),
+                           mu=mul.mu)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_bisected_theta_agrees_with_the_dict_oracle(name):
+    for kd, mul in theta_cases(name).values():
+        got = kitecond._theta(kd, mul)
+        assert got == dict_theta(kd, mul)
+        assert isinstance(got, ThetaResult)
+
+
+@pytest.mark.parametrize("name", ["group2", "terminal2", "singleton"])
+def test_every_theta_failure_matches_the_dict_oracle(name):
+    """Each leg entry of each kite moved to each value, and each pair
+    that theta reads dropped: the same result or exception text, and
+    all three IllTyped texts are reached."""
+    texts = Counter()
+    for kd, mul in theta_cases(name).values():
+        for leg in ("alpha", "beta", "gamma"):
+            for i in range(getattr(kd, leg).dom):
+                for v in range(kd.D):
+                    bad = with_leg(kd, leg, [(i, v)])
+                    got = outcome(kitecond._theta, bad, mul)
+                    assert got == outcome(dict_theta, bad, mul)
+                    if isinstance(got, tuple) and got[0] is IllTyped:
+                        texts[got[1].split(" ")[1]] += 1
+        hit = kitecond._theta(kd, mul).theta.table
+        for i in sorted({hit[0], hit[-1], hit[len(hit) // 2]}):
+            stand_in = without_label(mul, i)
+            got = outcome(kitecond._theta, kd, stand_in)
+            assert got == outcome(dict_theta, kd, stand_in)
+            assert got[0] is IllTyped and "not composable" in got[1]
+            texts["components"] += 1
+    expected = {"components"} | ({"first", "second"} if name != "singleton"
+                                 else set())
+    assert set(texts) == expected
+
+
+@given(name=st.sampled_from(["group2", "group3", "terminal2", "terminal3"]),
+       which=st.sampled_from(["theta", "delta"]),
+       leg=st.sampled_from(["alpha", "beta", "gamma"]), leg_edits=edits)
+@settings(max_examples=60, deadline=None)
+def test_perturbed_kites_agree_with_the_dict_oracle(name, which, leg,
+                                                    leg_edits):
+    kd, mul = theta_cases(name)[which]
+    bad = with_leg(kd, leg, leg_edits)
+    assert outcome(kitecond._theta, bad, mul) == outcome(dict_theta, bad, mul)
