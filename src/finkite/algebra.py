@@ -857,6 +857,24 @@ def admissibility_count_variety(vk: VarietyKite,
     return _pinned_count(frame, vk.alpha, vk.gamma, cap)
 
 
+def _cross_generates(frame: _AdmissibilityFrame) -> bool:
+    """Whether e1(A) u e2(C) generates E, closed through the watch lists:
+    then alpha and gamma fix a homomorphism from E, so no kite of the
+    frame has two admissibility morphisms.  Nullary operations watch
+    nothing: e1 is a homomorphism, so their constants lie in e1(A)."""
+    have = set(frame.e1).union(frame.e2)
+    queue, size = list(have), len(frame.labels)
+    while queue and len(have) < size:
+        e = queue.pop()
+        for t_e, _, args, watch in frame.laws:
+            for i in watch[e]:
+                out = t_e[i]
+                if out not in have and have.issuperset(args[i]):
+                    have.add(out)
+                    queue.append(out)
+    return len(have) == size
+
+
 def _pinned_count(frame: _AdmissibilityFrame, alpha, gamma,
                   cap: int) -> VarietySolveResult:
     """admissibility_count_variety for the frame's kite with these alpha
@@ -946,11 +964,14 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
     mirror (ic, ia, gc, fa, gg, aa) came before it is skipped: swapping
     A with C, f with g and alpha with gamma keeps the kite conditions,
     and (a, c) -> (c, a) carries one's admissibility morphisms onto the
-    other's.  The four (aa, gg) of a leg pair share one frame.  Each
-    candidate's kite equations are checked; each distinct leg (a
-    projection or diagonal of one relation, or the identity of D) is
-    checked once per search, so at most 3r + 1 homomorphism checks for
-    r relations, and the kite returned is validated by VarietyKite."""
+    other's.  The four (aa, gg) of a leg pair share one frame, built at
+    its first valid kite; when its cross generates E, that kite and the
+    rest of the leg pair are skipped, each still examined and counted
+    against the budget.  The other candidates' kite equations are
+    checked; each distinct leg (a projection or diagonal of one
+    relation, or the identity of D) is checked once per search, so at
+    most 3r + 1 homomorphism checks for r relations, and the kite
+    returned is validated in full by VarietyKite."""
     if budget < 0:
         raise IllTyped(f"budget must be >= 0, got {budget}")
     complete = True
@@ -966,13 +987,13 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
     family, examined = 16 * len(rels) ** 2, 0
     for ia, ic, fa, gc in product(range(len(rels)), range(len(rels)),
                                   (0, 1), (0, 1)):
-        frame = None
+        frame, skip = None, False
         for aa, gg in product((0, 1), (0, 1)):
             examined += 1
             if examined > budget:
                 return _WitnessSearch(None, budget, family, False)
-            if (ic, ia, gc, fa, gg, aa) < (ia, ic, fa, gc, aa, gg):
-                continue          # its mirror came first, without a find
+            if skip or (ic, ia, gc, fa, gg, aa) < (ia, ic, fa, gc, aa, gg):
+                continue          # no witness, or its mirror came first
             (A, diag_a, proj_a), (C, diag_c, proj_c) = side(ia), side(ic)
             legs = (proj_a[fa], diag_a, diag_c, proj_c[gc], proj_a[aa],
                     ident, proj_c[gg])
@@ -981,6 +1002,9 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
             if frame is None:
                 frame = _admissibility_frame(A, C, D, legs[0], diag_a,
                                              legs[3], diag_c, shapes)
+                skip = _cross_generates(frame)
+                if skip:
+                    continue
             if _pinned_count(frame, legs[4], legs[6], 2).count >= 2:
                 return _WitnessSearch(VarietyKite(A, D, C, D, *legs),
                                       examined, family, complete)

@@ -782,13 +782,16 @@ def test_relation_properties_match_pair_scans(case):
 
 
 def reference_wm_witness_search(D, budget=2000):
-    """The search without frames or mirror pruning: every kite of the
-    projection family is built, validated and counted on its own."""
+    """The search without frames, mirror pruning or skipped frames: every
+    kite of the projection family is built, validated and counted on its
+    own, and each one is examined against the budget."""
+    complete = True
     try:
         rels = reflexive_relations(D, budget=budget)
     except BudgetExceeded as exc:
         rels = exc.partial or ()
-    examined = 0
+        complete = False
+    family, examined = 16 * len(rels) ** 2, 0
     for ia in range(len(rels)):
         for ic in range(len(rels)):
             side_a = relation_side(D, rels[ia])
@@ -796,12 +799,13 @@ def reference_wm_witness_search(D, budget=2000):
             for fa, gc, aa, gg in product((0, 1), repeat=4):
                 examined += 1
                 if examined > budget:
-                    return None
+                    return algebra._WitnessSearch(None, budget, family, False)
                 kite = projection_kite(D, side_a, side_c, fa, gc, aa, gg)
                 if kite is not None and \
                    admissibility_count_variety(kite, cap=2).count >= 2:
-                    return kite
-    return None
+                    return algebra._WitnessSearch(kite, examined, family,
+                                                  complete)
+    return algebra._WitnessSearch(None, examined, family, complete)
 
 
 SEARCHED = [m3_lattice(), n5_lattice(), meet_semilattice2()] + \
@@ -809,13 +813,106 @@ SEARCHED = [m3_lattice(), n5_lattice(), meet_semilattice2()] + \
 
 
 @given(st.one_of(st.sampled_from(SEARCHED), small_algebras()),
-       st.integers(1, 64))
+       st.integers(0, 64))
 @example(m3_lattice(), 64)
 @example(meet_semilattice2(), 64)
+@example(meet_semilattice2(), 81)
+@example(n5_lattice(), 0)
 @settings(max_examples=100)
 def test_wm_witness_search_matches_the_per_kite_search(D, budget):
-    assert wm_witness_search(D, budget) == \
-        reference_wm_witness_search(D, budget)
+    """The kite found, examined, of and complete, budgets from 0."""
+    want = reference_wm_witness_search(D, budget)
+    assert algebra._witness_search(D, budget) == want
+    assert wm_witness_search(D, budget) == want.kite
+
+
+JOIN2 = OpAlgebra(2, (Operation("*", 2, (0, 1, 1, 1)),), "cmag")
+
+
+@pytest.mark.parametrize("D, budget, want", [
+    (n5_lattice(), 50, (False, 50, 3600, False)),
+    (cyclic_magma(3), 100, (False, 64, 64, True)),
+    (chain_lattice(3), 50, (False, 50, 7744, False)),
+    (cyclic_group(3), 50, (False, 50, 64, False)),
+    (m3_lattice(), 20, (False, 20, 256, False)),
+    (meet_semilattice2(), 100, (True, 81, 256, True)),
+    (JOIN2, 100, (True, 96, 256, True)),
+    (m3_lattice(), 2000, (False, 256, 256, True)),
+    (n5_lattice(), 20000, (False, 10000, 10000, True))],
+    ids=["n5/50", "cmag3/100", "chain3/50", "group3/50", "m3/20",
+         "meet2/100", "join2/100", "m3/2000", "n5/20000"])
+def test_witness_search_results_at_the_bench_budgets(D, budget, want):
+    search = algebra._witness_search(D, budget)
+    assert (search.kite is not None, search.examined, search.of,
+            search.complete) == want
+
+
+def built_frames(D, budget):
+    """Every frame that _witness_search(D, budget) builds, with the
+    projections of its A and C."""
+    sides, frames = {}, []
+    side, build = algebra._relation_side, algebra._admissibility_frame
+
+    def recording_side(D, pairs):
+        out = side(D, pairs)
+        sides[id(out[0])] = out         # keeps A alive, so its id is kept
+        return out
+
+    def recording_frame(A, C, *rest):
+        frame = build(A, C, *rest)
+        frames.append((frame, sides[id(A)][2], sides[id(C)][2]))
+        return frame
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_relation_side", recording_side)
+        patch.setattr(algebra, "_admissibility_frame", recording_frame)
+        algebra._witness_search(D, budget)
+    return frames
+
+
+def naive_generated(frame):
+    """The elements of E that the cross generates, by rounds over every
+    argument tuple, constants included."""
+    have = set(frame.e1) | set(frame.e2)
+    while True:
+        new = {t_e[i] for t_e, _, args, _ in frame.laws
+               for i, xs in enumerate(args) if set(xs) <= have}
+        if new <= have:
+            return have
+        have |= new
+
+
+def assert_generated_frames_have_one_morphism(D, budget=1000):
+    """On every frame the search builds over D, _cross_generates agrees
+    with the naive closure, and when it holds, no projection alpha and
+    gamma leave room for two admissibility morphisms.  Returns how many
+    frames were built and how many were generated."""
+    frames = built_frames(D, budget)
+    generated = 0
+    for frame, proj_a, proj_c in frames:
+        gen = algebra._cross_generates(frame)
+        assert gen == (len(naive_generated(frame)) == len(frame.labels))
+        if gen:
+            generated += 1
+            for aa, gg in product((0, 1), (0, 1)):
+                assert algebra._pinned_count(frame, proj_a[aa], proj_c[gg],
+                                             2).count <= 1
+    return len(frames), generated
+
+
+def test_generated_frames_have_one_morphism_on_the_gallery():
+    for D in LAW_GALLERY + [JOIN2, two_element_set_algebra()]:
+        built, generated = assert_generated_frames_have_one_morphism(D)
+        assert built > 0
+        if D == meet_semilattice2():
+            # the one frame that holds the witness is not generated
+            assert generated == built - 1
+
+
+@given(small_algebras())
+@settings(max_examples=50)
+def test_generated_frames_have_one_morphism_on_small_algebras(D):
+    assert_generated_frames_have_one_morphism(D, 256)
 
 
 @given(commutative_magmas(max_size=3), st.data())
@@ -899,7 +996,7 @@ def test_a_map_checked_on_one_algebra_is_checked_again_on_another():
 
 def test_witness_search_tells_exhausted_from_budget_out():
     meet = algebra._witness_search(meet_semilattice2(), 2000)
-    assert meet.kite == reference_wm_witness_search(meet_semilattice2())
+    assert meet.kite == reference_wm_witness_search(meet_semilattice2()).kite
     chain = algebra._witness_search(chain_lattice(2), 2000)
     assert (chain.kite, chain.examined, chain.of, chain.complete) == \
         (None, 256, 256, True)
