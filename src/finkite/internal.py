@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import DomainMismatch, IllTyped, NonCommutingSquare
 from .finmaps import (FinMap, compose, fibres, first_mismatch, identity,
                       index_of, solve_cross)
-from .limits import SplitCospan, kernel_pair, local_product
+from .limits import LocalProduct, SplitCospan, kernel_pair, local_product
 from .report import Report, fails, holds
 
 
@@ -190,6 +190,7 @@ class KpcResult:
     lex ordered.  For the plain construction first = d and second = c and
     the graph maps are dom = x, cod = z; for the swapped construction
     first = c, second = d and the graph maps are dom = z, cod = x.
+    lp is the local product whose points are the triples.
     """
 
     span: Span
@@ -210,6 +211,7 @@ class KpcResult:
     cod: FinMap
     delta: FinMap
     graph: ReflexiveGraph
+    lp: LocalProduct = field(init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -230,9 +232,11 @@ def _kpc_generic(span: Span, first: FinMap, second: FinMap, swapped: bool) -> Kp
     delta = compose(lp.e1, kf.diagonal)
     dom, cod = (proj_z, proj_x) if swapped else (proj_x, proj_z)
     graph = ReflexiveGraph(dom, cod, delta)
-    return KpcResult(span, swapped, triples, kf.pairs, ks.pairs,
-                     kf.p1, kf.p2, ks.p1, ks.p2, lp.p1, lp.p2, lp.e1, lp.e2,
-                     dom, proj_y, cod, delta, graph)
+    k = KpcResult(span, swapped, triples, kf.pairs, ks.pairs,
+                  kf.p1, kf.p2, ks.p1, ks.p2, lp.p1, lp.p2, lp.e1, lp.e2,
+                  dom, proj_y, cod, delta, graph)
+    object.__setattr__(k, "lp", lp)
+    return k
 
 
 def kpc(span: Span) -> KpcResult:
@@ -317,6 +321,8 @@ class DirectedKite:
     gamma: FinMap
     d: FinMap
     c: FinMap
+    lp: Optional[LocalProduct] = field(default=None, init=False,
+                                       compare=False, repr=False)
 
     def __post_init__(self):
         A, B, C = self.f.dom, self.f.cod, self.g.dom
@@ -333,6 +339,15 @@ class DirectedKite:
             raise DomainMismatch("alpha, beta, gamma must share a codomain D")
         if self.d.dom != D or self.c.dom != D:
             raise DomainMismatch("the direction span must start at D")
+
+
+def _kite_local_product(dk: DirectedKite) -> LocalProduct:
+    """The local product of dk's split cospan, built once and kept on dk
+    (a kernel-pair kite has it from its kpc)."""
+    if dk.lp is None:
+        object.__setattr__(dk, "lp", local_product(
+            SplitCospan(dk.f, dk.r, dk.g, dk.s)))
+    return dk.lp
 
 
 def validate_directed_kite(dk: DirectedKite) -> Report:
@@ -414,11 +429,14 @@ def kite_from_span(span: Span) -> DirectedKite:
 
 def _kite_from_kpc(k: KpcResult) -> DirectedKite:
     """kite_from_span on the kernel pair construction k of its span."""
-    # r and s are the diagonals y -> (y, y) of the two kernel pairs.
+    # r and s are the diagonals y -> (y, y) of the two kernel pairs: the
+    # split cospan that k's local product was built on.
     r, s = compose(k.p1, k.delta), compose(k.p2, k.delta)
-    return DirectedKite(f=k.d2, r=r, s=s, g=k.c1,
-                        alpha=k.d1, beta=identity(k.span.D), gamma=k.c2,
-                        d=k.span.d, c=k.span.c)
+    dk = DirectedKite(f=k.d2, r=r, s=s, g=k.c1,
+                      alpha=k.d1, beta=identity(k.span.D), gamma=k.c2,
+                      d=k.span.d, c=k.span.c)
+    object.__setattr__(dk, "lp", k.lp)
+    return dk
 
 
 @dataclass(frozen=True)
@@ -469,8 +487,7 @@ def compat_check(h: DirectedKiteMorphism, m: FinMap, m2: FinMap) -> Report:
     """Whether hD m = m' (hA x_hB hC) on the induced pullback map."""
     _require_valid(validate_kite_morphism(h), "invalid kite morphism",
                    NonCommutingSquare)
-    lp = local_product(SplitCospan(h.src.f, h.src.r, h.src.g, h.src.s))
-    lp2 = local_product(SplitCospan(h.dst.f, h.dst.r, h.dst.g, h.dst.s))
+    lp, lp2 = _kite_local_product(h.src), _kite_local_product(h.dst)
     if m.dom != lp.E or m.cod != h.src.alpha.cod:
         raise DomainMismatch("m must go A x_B C -> D")
     if m2.dom != lp2.E or m2.cod != h.dst.alpha.cod:

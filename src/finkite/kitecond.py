@@ -16,8 +16,8 @@ from .errors import DomainMismatch, HypothesisViolation, IllTyped
 from .finmaps import (FinMap, SolveResult, compose, first_mismatch, identity,
                       index_of, solve_cross)
 from .internal import (C2Data, DirectedKite, KpcResult, Span, _kite_from_kpc,
-                       _require_valid, composable_pairs, kpc,
-                       validate_directed_kite)
+                       _kite_local_product, _require_valid, composable_pairs,
+                       kpc, validate_directed_kite)
 from .limits import (LocalProduct, SplitCospan, _failed_condition,
                      _failed_conditions_1_to_3, local_product)
 from .report import Report, fails, holds
@@ -77,10 +77,10 @@ class KiteDiagram:
 
 
 def assemble_kite(dk: DirectedKite) -> tuple[KiteDiagram, LocalProduct]:
-    """Complete a directed kite with its local product; beta is induced
-    through the common composite f p1 = g p2."""
+    """Complete a directed kite with its local product, kept on dk; beta
+    is induced through the common composite f p1 = g p2."""
     _require_valid(validate_directed_kite(dk), "invalid directed kite")
-    lp = local_product(SplitCospan(dk.f, dk.r, dk.g, dk.s))
+    lp = _kite_local_product(dk)
     beta_e = compose(dk.beta, compose(dk.f, lp.p1))
     kd = KiteDiagram(lp.p1, lp.p2, lp.e1, lp.e2,
                      dk.alpha, beta_e, dk.gamma, dk.d, dk.c)
@@ -160,24 +160,23 @@ def maltsev_mu(k: KpcResult,
     and be compatible with the span legs, otherwise the produced table
     leaves the triple object and the construction is rejected.
 
-    Cost: three calls of p per composable pair of triples, pair by pair
-    and component 0, 1, 2 within a pair.  Those calls dominate, so pass
-    a p that looks its value up in a table rather than computing it."""
+    Cost: one call of p per composable pair, for the mid component, and
+    two per triple: as dom U = cod V, the cod component p(cod U, dom U,
+    dom U) reads U alone and the dom component p(cod V, cod V, dom V) V
+    alone, so p must be pure.  The calls dominate, so pass a p that
+    looks its value up in a table rather than computing it."""
     c2 = composable_pairs(k.graph)
-    t_index = index_of(k.triples)
-    # Triple i is (xs[i], ys[i], zs[i]); the swapped construction's
-    # graph has dom = z and cod = x.
-    xs, ys, zs = ((k.cod.table, k.mid.table, k.dom.table) if k.swapped
-                  else (k.dom.table, k.mid.table, k.cod.table))
-    dom = k.dom.table
+    dom, mid, cod = k.dom.table, k.mid.table, k.cod.table
+    # Triples keyed (cod, mid, dom): (z, y, x) plain, (x, y, z) swapped.
+    t_index = index_of(zip(cod, mid, dom))
+    at_cod, at_dom = list(map(p, cod, dom, dom)), list(map(p, cod, cod, dom))
     table = []
     for ui, vi in zip(c2.pi1.table, c2.pi2.table):
-        m0 = dom[ui]
-        w = (p(xs[ui], m0, xs[vi]), p(ys[ui], m0, ys[vi]),
-             p(zs[ui], m0, zs[vi]))
+        w = (at_cod[ui], p(mid[ui], dom[ui], mid[vi]), at_dom[vi])
         t = t_index.get(w)
         if t is None:
-            raise IllTyped(f"mu image {w} leaves the triple object")
+            raise IllTyped(f"mu image {w if k.swapped else w[::-1]} "
+                           "leaves the triple object")
         table.append(t)
     return UnitalMultiplication(k, c2,
                                 FinMap._derived(c2.size, k.size, tuple(table)))

@@ -6,7 +6,7 @@ lexicographically; equality of constructed objects is label-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Optional
 
 from .errors import CompatibilityViolation, DomainMismatch, InvalidSplitting
@@ -35,6 +35,11 @@ def pullback(g: FinMap, f: FinMap) -> Pullback:
     g's domain is bucketed by value once and each a meets only its own
     ascending fibre, so the cost is O(A + C + |P|) with the labels in
     lexicographic order."""
+    return _pullback(g, f)[0]
+
+
+def _pullback(g: FinMap, f: FinMap) -> tuple[Pullback, dict[int, list[int]]]:
+    """pullback(g, f) with the fibres of g that it joins on."""
     if f.cod != g.cod:
         raise DomainMismatch(
             f"pullback needs a common codomain ({f.cod} vs {g.cod})")
@@ -43,7 +48,7 @@ def pullback(g: FinMap, f: FinMap) -> Pullback:
                     for c in over.get(b, ())])
     p1 = FinMap._derived(len(labels), f.dom, tuple([a for a, _ in labels]))
     p2 = FinMap._derived(len(labels), g.dom, tuple([c for _, c in labels]))
-    return Pullback(labels, p1, p2)
+    return Pullback(labels, p1, p2), over
 
 
 @dataclass(frozen=True)
@@ -98,12 +103,16 @@ def local_product(sc: SplitCospan) -> LocalProduct:
     """A x_B C with its injections e1 = <1, sf> and e2 = <rg, 1>; every
     labelled local product in finkite (composable pairs, kpc triples,
     admissibility apexes) is built here."""
-    pb = pullback(sc.g, sc.f)
-    at = index_of(pb.labels).__getitem__
-    sf = map(sc.s.table.__getitem__, sc.f.table)
-    rg = map(sc.r.table.__getitem__, sc.g.table)
-    e1 = FinMap._derived(sc.A, pb.size, tuple(map(at, zip(range(sc.A), sf))))
-    e2 = FinMap._derived(sc.C, pb.size, tuple(map(at, zip(rg, range(sc.C)))))
+    pb, over = _pullback(sc.g, sc.f)
+    # (a, c) sits at start[a] + rank[c]: a's labels begin at start[a],
+    # and c is point rank[c] of its g-fibre (g is split, so f(a) has one).
+    start = list(accumulate([len(over[b]) for b in sc.f.table], initial=0))
+    rank = {c: i for cs in over.values() for i, c in enumerate(cs)}
+    s, r = sc.s.table, sc.r.table
+    e1 = FinMap._derived(sc.A, pb.size, tuple(
+        [start[a] + rank[s[b]] for a, b in enumerate(sc.f.table)]))
+    e2 = FinMap._derived(sc.C, pb.size, tuple(
+        [start[r[b]] + rank[c] for c, b in enumerate(sc.g.table)]))
     return LocalProduct(pb.size, pb.labels, pb.p1, pb.p2, e1, e2, sc)
 
 

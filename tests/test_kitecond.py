@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from finkite import internal, kitecond, schemas
+from finkite import internal, kitecond, limits, schemas
 from finkite.errors import (DomainMismatch, FinkiteError, HypothesisViolation,
                             IllTyped)
 from finkite.finmaps import FinMap, compose, identity, jointly_monic, maps
@@ -488,11 +488,28 @@ def recorded_mu(build, k, table, D):
     return out, calls
 
 
+def pair_arguments(k):
+    """Every argument triple the per-pair definition gives p on C2."""
+    c2 = composable_pairs(k.graph)
+    return {(k.triples[ui][j], k.dom.table[ui], k.triples[vi][j])
+            for ui, vi in c2.labels for j in range(3)}
+
+
 def assert_mu_matches_pairs(span, table):
+    """The same table, or the same exception type and text, as the
+    per-pair definition; p sees only argument triples that definition
+    uses somewhere on C2, and on success it is called |C2| + 2 |C1|
+    times, on every one of them."""
     for k in (kpc(span), kpc_swapped(span)):
-        assert recorded_mu(lambda k, p: maltsev_mu(k, p).mu, k, table,
-                           span.D) == \
-            recorded_mu(maltsev_mu_by_pairs, k, table, span.D)
+        got, calls = recorded_mu(lambda k, p: maltsev_mu(k, p).mu, k, table,
+                                 span.D)
+        want, _ = recorded_mu(maltsev_mu_by_pairs, k, table, span.D)
+        assert got == want
+        used = pair_arguments(k)
+        assert set(calls) <= used
+        if all(type(t) is int for t in want):
+            assert len(calls) == composable_pairs(k.graph).size + 2 * k.size
+            assert set(calls) == used
 
 
 def maltsev_tables(D):
@@ -514,8 +531,8 @@ def maltsev_tables(D):
     lambda s: st.tuples(st.just(s), maltsev_tables(s.D))))
 @settings(max_examples=150, deadline=None)
 def test_maltsev_mu_matches_the_per_pair_definition(case):
-    """Same table, same calls of p in the same order, and the same
-    exception type and text, on both kernel pair constructions."""
+    """Same table, or the same exception type and text, from calls of p
+    the per-pair definition makes, on both kernel pair constructions."""
     assert_mu_matches_pairs(*case)
 
 
@@ -549,6 +566,18 @@ def test_group_kite_bundle_matches_the_callable_construction():
     for n in (2, 3):
         kd, mu, mu_e = group_kite_bundle(n)
         assert (kd, mu.mu, mu_e.mu) == bundle_from_callable(n)
+
+
+def test_group_kite_bundle_calls_p_once_per_pair_and_twice_per_triple(
+        monkeypatch):
+    """mu on 81 triples and 729 pairs, mu_e on 729 triples and 6,561
+    pairs: 891 + 8,019 calls, on 1,845 distinct argument triples."""
+    calls = []
+    build = kitecond.maltsev_mu
+    monkeypatch.setattr(kitecond, "maltsev_mu", lambda k, p: build(
+        k, lambda *args: calls.append(args) or p(*args)))
+    group_kite_bundle(3)
+    assert (len(calls), len(set(calls))) == (8910, 1845)
 
 
 def test_every_solver_refuses_a_negative_cap():
@@ -619,3 +648,73 @@ def test_kite5_pairing_builds_one_kernel_pair_construction(monkeypatch):
                         or build(*args, **kwargs))
     assert kite5_pairing(group_pair_span(3)).ok
     assert len(calls) == 1
+
+
+def count_local_products(monkeypatch):
+    """Record every local_product call, under each name it is held by."""
+    calls = []
+    build = limits.local_product
+
+    def counted(sc):
+        calls.append(sc)
+        return build(sc)
+    for module in (limits, internal, kitecond):
+        monkeypatch.setattr(module, "local_product", counted)
+    return calls
+
+
+def test_a_kernel_pair_kite_is_assembled_on_its_kpc_local_product(
+        monkeypatch):
+    calls = count_local_products(monkeypatch)
+    span = group_pair_span(3)
+    assert kite5_pairing(span).ok
+    assert len(calls) == 1
+    dk = kite_from_span(span)
+    kd, lp = assemble_kite(dk)
+    assert len(calls) == 2
+    assert lp is dk.lp is assemble_kite(dk)[1]
+    assert len(calls) == 2
+
+
+def assemble_afresh(dk):
+    """assemble_kite as first written: the local product built here."""
+    lp = local_product(SplitCospan(dk.f, dk.r, dk.g, dk.s))
+    beta_e = compose(dk.beta, compose(dk.f, lp.p1))
+    return KiteDiagram(lp.p1, lp.p2, lp.e1, lp.e2,
+                       dk.alpha, beta_e, dk.gamma, dk.d, dk.c), lp
+
+
+DIRECTED_FIELDS = "f r s g alpha beta gamma d c".split()
+
+
+@given(small_spans())
+@settings(max_examples=80, deadline=None)
+def test_kept_local_products_are_the_kites_own(span):
+    """A kernel-pair kite keeps its kpc's local product, which is the one
+    its split cospan gives; a hand-built copy, with none kept, assembles
+    to the same kite and keeps what it built.  Neither product shows in
+    equality, hashing, repr or dump_maps."""
+    k = kpc(span)
+    dk = kite_from_span(span)
+    assert dk.lp == k.lp == local_product(SplitCospan(dk.f, dk.r, dk.g, dk.s))
+    hand = internal.DirectedKite(**{name: getattr(dk, name)
+                                    for name in DIRECTED_FIELDS})
+    assert hand.lp is None
+    assert (dk, hash(dk), repr(dk), schemas.dump_maps("directed_kite", dk)) \
+        == (hand, hash(hand), repr(hand),
+            schemas.dump_maps("directed_kite", hand))
+    want = assemble_afresh(dk)
+    assert assemble_kite(dk) == want == assemble_kite(hand)
+    assert hand.lp == dk.lp
+    bare = kpc(span)
+    object.__setattr__(bare, "lp", None)
+    assert (k, hash(k), repr(k)) == (bare, hash(bare), repr(bare))
+    assert "lp=" not in repr(k) + repr(dk)
+
+
+def test_a_hand_built_kite_assembles_as_before():
+    for dk in (kite_from_rg(preorder_graph_01()),
+               kite_from_cat(one_object_umg(((0, 1), (1, 0))))):
+        assert dk.lp is None
+        assert assemble_kite(dk) == assemble_afresh(dk)
+        assert dk.lp == assemble_afresh(dk)[1]

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finkite.errors import CompatibilityViolation, DomainMismatch, InvalidSplitting
 from finkite.finmaps import FinMap, compose, identity, jointly_epic, jointly_monic
@@ -269,12 +269,13 @@ def nested_intrinsic_check(p1, p2, e1, e2):
     return None, nested_pullback(e2, e1)
 
 
-def split_cospans(max_size=4):
-    """Split cospans f: A -> B, g: C -> B with sections r, s."""
+def split_cospans(max_size=4, min_b=1):
+    """Split cospans f: A -> B, g: C -> B with sections r, s; B = 0
+    forces A = C = 0."""
     def split_epi(b):
-        return st.integers(b, max_size).flatmap(lambda a: st.tuples(
+        return st.integers(b, max_size if b else 0).flatmap(lambda a: st.tuples(
             st.permutations(range(a)),
-            st.lists(st.integers(0, b - 1), min_size=a, max_size=a)))
+            st.lists(st.integers(0, max(b - 1, 0)), min_size=a, max_size=a)))
 
     def build(b, left, right):
         legs = []
@@ -287,7 +288,7 @@ def split_cospans(max_size=4):
                      FinMap(b, len(table), tuple(section))]
         return SplitCospan(*legs)
 
-    return st.integers(1, max_size).flatmap(
+    return st.integers(min_b, max_size).flatmap(
         lambda b: st.tuples(split_epi(b), split_epi(b)).map(
             lambda lr: build(b, *lr)))
 
@@ -325,6 +326,39 @@ def test_kernel_pair_matches_nested_loop(h):
     assert kp.diagonal.table == tuple(want.index((y, y)) for y in range(h.dom))
     assert kp.diagonal.cod == len(want)
     assert_validated(kp.p1, kp.p2, kp.diagonal)
+
+
+def local_product_by_index(sc):
+    """local_product as first written: each injection's point looked up
+    in an index of the pullback's labels."""
+    pb = pullback(sc.g, sc.f)
+    at = {lab: i for i, lab in enumerate(pb.labels)}
+    e1 = [at[(a, sc.s.table[sc.f.table[a]])] for a in range(sc.A)]
+    e2 = [at[(sc.r.table[sc.g.table[c]], c)] for c in range(sc.C)]
+    return (pb.labels, pb.p1, pb.p2, FinMap(sc.A, pb.size, tuple(e1)),
+            FinMap(sc.C, pb.size, tuple(e2)))
+
+
+def identity_cospan(n):
+    one = identity(n)
+    return SplitCospan(one, one, one, one)
+
+
+@given(split_cospans(min_b=0))
+@example(identity_cospan(0))
+@example(identity_cospan(1))
+@example(identity_cospan(4))
+@example(SplitCospan(FinMap(2, 2, (1, 0)), FinMap(2, 2, (1, 0)),
+                     FinMap(2, 2, (1, 0)), FinMap(2, 2, (1, 0))))
+@settings(max_examples=200, deadline=None)
+def test_local_product_injections_match_the_label_index(sc):
+    """The injections placed by fibre offsets, with the labels and
+    projections, against an index of the labels; B = 0 (so A = C = 0)
+    and all-singleton fibres included."""
+    lp = local_product(sc)
+    assert (lp.element_labels, lp.p1, lp.p2, lp.e1, lp.e2) == \
+        local_product_by_index(sc)
+    assert lp.E == len(lp.element_labels) and lp.source == sc
 
 
 def perturb(lp, data):
