@@ -123,12 +123,6 @@ class OpAlgebra:
             idx = idx * self.size + a
         return op.table[idx]
 
-    def op_by_symbol(self, symbol: str) -> Operation:
-        for op in self.ops:
-            if op.symbol == symbol:
-                return op
-        raise MissingOperation(f"no operation named {symbol!r}")
-
     def ops_of_arity(self, arity: int) -> tuple[Operation, ...]:
         return tuple([op for op in self.ops if op.arity == arity])
 
@@ -377,24 +371,12 @@ class MaltsevTable:
 
 def maltsev_table(A: OpAlgebra) -> MaltsevTable:
     """The ternary operation p(a,b,c) = the unique solution of
-    x * b = a * c, with its unit laws and the homomorphism law
-    certified exhaustively."""
+    x * b = a * c, with the homomorphism law certified exhaustively.
+    The unit laws hold whenever the table builds: a solves x * b = a * b
+    and, * being commutative, c solves x * b = b * c."""
     n = A.size
     rows, solve = _maltsev_solver(A)
     table = tuple(solve(a, b, c) for a, b, c in product(range(n), repeat=3))
-
-    def p(a, b, c):
-        return table[(a * n + b) * n + c]
-
-    unit = holds("maltsev-unit-laws")
-    for a in range(n):
-        for b in range(n):
-            if p(a, b, b) != a:
-                unit = fails("maltsev-unit-laws", {"law": "p(a,b,b)=a",
-                                                   "pair": [a, b]})
-            if p(b, b, a) != a:
-                unit = fails("maltsev-unit-laws", {"law": "p(b,b,c)=c",
-                                                   "pair": [b, a]})
     # p(a,b,c) * p(a2,b2,c2) = p(a*a2, b*b2, c*c2), all (a2, b2, c2) at
     # once; the left side depends only on u = p(a,b,c).  The right side
     # reads each block x n + y, x in row a and y in row b, at the places
@@ -411,7 +393,7 @@ def maltsev_table(A: OpAlgebra) -> MaltsevTable:
         if w is not None:
             hom = fails("maltsev-hom-law", {"tuple": [a, b, c] + w})
             break
-    return MaltsevTable(table, unit, hom)
+    return MaltsevTable(table, holds("maltsev-unit-laws"), hom)
 
 
 def homomorphism_witness(src: OpAlgebra, dst: OpAlgebra,
@@ -737,40 +719,27 @@ class VarietyKite:
     gamma: tuple[int, ...]
 
     def __post_init__(self):
-        fault = _kite_fault(self.A, self.B, self.C, self.D,
-                            (self.f, self.r, self.s, self.g, self.alpha,
-                             self.beta, self.gamma), {})
-        if fault is not None:
-            raise fault
+        """Reject the first leg that is not a homomorphism, else the
+        first kite equation that fails."""
+        A, B, C, D = self.A, self.B, self.C, self.D
+        f, r, s, g, alpha, beta, gamma = legs = (
+            self.f, self.r, self.s, self.g, self.alpha, self.beta, self.gamma)
+        for name, h, src, dst in zip(_LEG_NAMES, legs, (A, B, B, C, A, B, C),
+                                     (B, A, C, B, D, D, D)):
+            w = homomorphism_witness(src, dst, tuple(h))
+            if w is not None:
+                raise NotAHomomorphism(f"{name} is not a homomorphism: {w}")
+        ident = list(range(B.size))
+        if [f[x] for x in r] != ident:
+            raise IllTyped("f r != 1_B")
+        if [g[x] for x in s] != ident:
+            raise IllTyped("g s != 1_B")
+        if [alpha[x] for x in r] != list(beta) or \
+           [gamma[x] for x in s] != list(beta):
+            raise IllTyped("alpha r = beta = gamma s fails")
 
 
 _LEG_NAMES = ("f", "r", "s", "g", "alpha", "beta", "gamma")
-
-
-def _kite_fault(A, B, C, D, legs, outcomes: dict) -> Optional[Exception]:
-    """What a kite with these legs (f, r, s, g, alpha, beta, gamma) is
-    rejected for, or None: the first leg that is not a homomorphism, else
-    the first kite equation that fails.  `outcomes` holds each leg's
-    homomorphism_witness by (leg, id(source), id(target)), so a leg met
-    again, passed or failed, is not checked again."""
-    for name, h, src, dst in zip(_LEG_NAMES, legs, (A, B, B, C, A, B, C),
-                                 (B, A, C, B, D, D, D)):
-        key = (tuple(h), id(src), id(dst))
-        if key not in outcomes:
-            outcomes[key] = homomorphism_witness(src, dst, key[0])
-        if outcomes[key] is not None:
-            return NotAHomomorphism(f"{name} is not a homomorphism: "
-                                    f"{outcomes[key]}")
-    f, r, s, g, alpha, beta, gamma = legs
-    ident = list(range(B.size))
-    if [f[x] for x in r] != ident:
-        return IllTyped("f r != 1_B")
-    if [g[x] for x in s] != ident:
-        return IllTyped("g s != 1_B")
-    if [alpha[x] for x in r] != list(beta) or \
-       [gamma[x] for x in s] != list(beta):
-        return IllTyped("alpha r = beta = gamma s fails")
-    return None
 
 
 def _product_subalgebra(A: OpAlgebra, C: OpAlgebra, labels) -> OpAlgebra:
@@ -786,7 +755,7 @@ def _product_subalgebra(A: OpAlgebra, C: OpAlgebra, labels) -> OpAlgebra:
 
 def _local_product(A: OpAlgebra, C: OpAlgebra, f, r, g, s) -> LocalProduct:
     """The local product of the carriers of A and C over f, r, g and s,
-    legs that `_kite_fault` has already checked."""
+    legs of a kite."""
     B, leg = len(r), FinMap._derived
     return local_product(SplitCospan(
         leg(A.size, B, tuple(f)), leg(B, A.size, tuple(r)),
@@ -829,7 +798,9 @@ def _admissibility_frame(A: OpAlgebra, C: OpAlgebra, D: OpAlgebra, f, r, g,
     lp = _local_product(A, C, f, r, g, s)
     E = _product_subalgebra(A, C, lp.element_labels)
     laws = []
-    for op in E.ops:    # nullary ops watch nothing: the pins imply them
+    # E's operations are A's, in order, and alpha: A -> D is a
+    # homomorphism, so D's operations pair with them by position
+    for op, op_d in zip(E.ops, D.ops):   # nullary ops watch nothing
         shape = shapes.get((E.size, op.arity))
         if shape is None:
             args = list(product(range(E.size), repeat=op.arity))
@@ -838,7 +809,7 @@ def _admissibility_frame(A: OpAlgebra, C: OpAlgebra, D: OpAlgebra, f, r, g,
                 for x in xs:
                     watch[x].append(i)
             shape = shapes[E.size, op.arity] = (args, watch)
-        laws.append((op.table, D.op_by_symbol(op.symbol).table) + shape)
+        laws.append((op.table, op_d.table) + shape)
     return _AdmissibilityFrame(lp.element_labels, lp.e1.table, lp.e2.table,
                                D.size, laws)
 
@@ -880,9 +851,9 @@ def _pinned_count(frame: _AdmissibilityFrame, alpha, gamma,
     """admissibility_count_variety for the frame's kite with these alpha
     and gamma: pin the cross, then propagate and branch."""
     labels, laws, n = frame.labels, frame.laws, frame.size_d
+    # never None on a kite: e1 and e2 are injective, and e1 a = e2 c
+    # gives alpha a = beta (f a) = beta (g c) = gamma c
     pins = cross_pins(frame.e1, alpha, frame.e2, gamma)
-    if pins is None:
-        return VarietySolveResult(0, (), labels)
     value = [pins.get(i) for i in range(len(labels))]
     trail: list[int] = []          # assigned elements, in order
 
@@ -967,11 +938,11 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
     other's.  The four (aa, gg) of a leg pair share one frame, built at
     its first valid kite; when its cross generates E, that kite and the
     rest of the leg pair are skipped, each still examined and counted
-    against the budget.  The other candidates' kite equations are
-    checked; each distinct leg (a projection or diagonal of one
-    relation, or the identity of D) is checked once per search, so at
-    most 3r + 1 homomorphism checks for r relations, and the kite
-    returned is validated in full by VarietyKite."""
+    against the budget.  Every candidate is a kite by construction: its
+    legs are projections and diagonals of compatible reflexive relations
+    and the identity of D, so homomorphisms, and a projection undoes a
+    diagonal.  Only the kite returned is validated, in full, by
+    VarietyKite."""
     if budget < 0:
         raise IllTyped(f"budget must be >= 0, got {budget}")
     complete = True
@@ -982,7 +953,6 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
         complete = False
     side = cache(lambda i: _relation_side(D, rels[i].pairs))
     ident = tuple(range(D.size))
-    outcomes: dict = {}       # leg -> homomorphism_witness, for the search
     shapes: dict = {}         # (|E|, arity) -> argument tuples, watch lists
     family, examined = 16 * len(rels) ** 2, 0
     for ia, ic, fa, gc in product(range(len(rels)), range(len(rels)),
@@ -997,8 +967,6 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
             (A, diag_a, proj_a), (C, diag_c, proj_c) = side(ia), side(ic)
             legs = (proj_a[fa], diag_a, diag_c, proj_c[gc], proj_a[aa],
                     ident, proj_c[gg])
-            if _kite_fault(A, D, C, D, legs, outcomes) is not None:
-                continue
             if frame is None:
                 frame = _admissibility_frame(A, C, D, legs[0], diag_a,
                                              legs[3], diag_c, shapes)

@@ -166,6 +166,23 @@ def test_classify_commands(capsys, tmp_path):
                                      "of": 256, "complete": True}
 
 
+def test_classify_witness_kite_with_a_repeated_symbol(capsys, tmp_path):
+    """A unary "*" beside the binary "*" of the meet semilattice on 2:
+    the search finds the same witness kite as with the unary named "u"
+    (it reported the family complete with no witness)."""
+    kites = []
+    for symbol in ("*", "u"):
+        path = write(tmp_path, f"meet_{symbol}.json", {
+            "kind": "algebra", "size": 2, "variety": "cmag",
+            "ops": [{"symbol": "*", "arity": 2, "table": [0, 0, 0, 1]},
+                    {"symbol": symbol, "arity": 1, "table": [0, 1]}]})
+        code, out = run(capsys, "classify", path, "--witness-kite")
+        assert code == 1 and "witness_search" not in out
+        kites.append({k: v for k, v in out["witness_kite"].items()
+                      if k not in ("A", "B", "C", "D")})
+    assert kites[0] == kites[1]
+
+
 def test_maltsev_op(capsys, tmp_path):
     z5 = write(tmp_path, "z5.json", dump_algebra(cyclic_magma(5)))
     code, out = run(capsys, "maltsev-op", z5, "1", "4", "3")

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -400,6 +401,7 @@ def test_intrinsic_check_matches_nested_loop_on_perturbed_diagrams(sc, data):
         assert res.report.witness == want
         return
     assert res.report.ok
+    assert round_trip_holds(p1, p2, e1, e2, res)
     assert res.cospan.r.table == tuple(a for a, _ in want)
     assert res.cospan.s.table == tuple(c for _, c in want)
     assert res.cospan.f.table == tuple(
@@ -413,3 +415,49 @@ def test_intrinsic_check_matches_nested_loop_on_perturbed_diagrams(sc, data):
         nested_pullback(res.cospan.g, res.cospan.f))
     assert_validated(res.cospan.f, res.cospan.g, res.relabel,
                      res.regenerated.e1, res.regenerated.e2)
+
+
+def round_trip_holds(p1, p2, e1, e2, res):
+    """The round trip that check_local_product_intrinsic once certified
+    after conditions 1-4: x -> (p1 x, p2 x) is a bijection onto the
+    rebuilt labels, equal to res.relabel, that carries p1 and p2 to the
+    rebuilt projections and e1 and e2 to the rebuilt injections."""
+    lp, E = res.regenerated, p1.dom
+    at = {lab: i for i, lab in enumerate(lp.element_labels)}
+    labels = [(p1.table[x], p2.table[x]) for x in range(E)]
+    if not all(lab in at for lab in labels):
+        return False
+    relabel = FinMap(E, lp.E, tuple(at[lab] for lab in labels))
+    return (relabel == res.relabel
+            and lp.E == E
+            and len(set(relabel.table)) == E
+            and compose(lp.p1, relabel).table == p1.table
+            and compose(lp.p2, relabel).table == p2.table
+            and compose(relabel, e1).table == lp.e1.table
+            and compose(relabel, e2).table == lp.e2.table)
+
+
+def sections(E, A):
+    """Every (p, e) with p: E -> A, e: A -> E and p e = 1_A."""
+    for p in product(range(A), repeat=E):
+        for e in product(range(E), repeat=A):
+            if all(p[e[a]] == a for a in range(A)):
+                yield FinMap(E, A, p), FinMap(A, E, e)
+
+
+def test_round_trip_follows_from_conditions_1_to_4_on_every_small_diagram():
+    """Every diagram with A, C <= 2, E <= 4 and condition 1 holding: each
+    one that passes conditions 2-4 passes the round trip, and each other
+    one fails at condition 2, 3 or 4."""
+    passed = failed = 0
+    for A, C, E in product(range(3), range(3), range(5)):
+        for (p1, e1), (p2, e2) in product(list(sections(E, A)),
+                                          list(sections(E, C))):
+            res = check_local_product_intrinsic(p1, p2, e1, e2)
+            if res.report.ok:
+                passed += 1
+                assert round_trip_holds(p1, p2, e1, e2, res)
+            else:
+                failed += 1
+                assert res.report.witness["condition"] in (2, 3, 4)
+    assert (passed, failed) == (110, 2837)
