@@ -580,7 +580,7 @@ def relation_closure(A: OpAlgebra, seed: Iterable[tuple[int, int]],
     seed = set(seed)
     if not all(0 <= x < n and 0 <= y < n for x, y in seed):
         raise IllTyped(f"seed pairs must lie in 0..{n - 1}")
-    return _pairs(_close(A, (), {x * n + x for x in range(n)}
+    return _pairs(_close(A, A, (), {x * n + x for x in range(n)}
                          | {x * n + y for x, y in seed}, cap), n)
 
 
@@ -589,30 +589,33 @@ def _pairs(codes, n: int) -> tuple[tuple[int, int], ...]:
     return tuple([divmod(v, n) for v in codes])
 
 
-def _close(A: OpAlgebra, closed, new, cap: int) -> tuple[int, ...]:
-    """The closure of closed | new, `closed` being closed, with a pair
-    (x, y) coded as x * |A| + y, here and in the sorted result.
+def _close(A: OpAlgebra, C: OpAlgebra, closed, new,
+           cap: int) -> tuple[int, ...]:
+    """The closure in A x C of closed | new, `closed` being closed, with
+    a pair (a, c) coded as a * |C| + c, here and in the sorted result.
     Semi-naive: a round applies the operations only to argument tuples
     with a pair new in the round before.  It adds the same pairs as a
     naive round over all pairs, so the cap is met at the same round with
-    the same partial, which is given as pairs."""
-    n = A.size
+    the same partial, which is given as pairs.  Relations close in A x A;
+    a kite's cross closes in A x C, so the witness search builds a frame
+    only where the cross does not generate E."""
+    m = C.size
     old, delta = set(closed), set(new).difference(closed)
-    old_pairs = _pairs(old, n)
+    old_pairs = _pairs(old, m)
     while True:
         current = old | delta
-        delta_pairs = _pairs(delta, n)
+        delta_pairs = _pairs(delta, m)
         current_pairs = old_pairs + delta_pairs
         found: set[int] = set()
-        for op in A.ops:
-            for i in range(op.arity):
-                found.update(_coded_images(op, n, op, n, (old_pairs,) * i
-                                           + (delta_pairs,) + (current_pairs,)
-                                           * (op.arity - i - 1)))
+        for op_a, op_c in zip(A.ops, C.ops):
+            for i in range(op_a.arity):
+                found.update(_coded_images(
+                    op_a, A.size, op_c, m, (old_pairs,) * i + (delta_pairs,)
+                    + (current_pairs,) * (op_a.arity - i - 1)))
         old, delta, old_pairs = current, found - current, current_pairs
         if len(old) + len(delta) > cap:
             raise BudgetExceeded("relation closure exceeded the element cap",
-                                 partial=_pairs(sorted(old | delta), n))
+                                 partial=_pairs(sorted(old | delta), m))
         if not delta:
             return tuple(sorted(old))
 
@@ -659,7 +662,7 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
                 if p is None:     # first met in base's pass: have = base
                     pt = principal.get(q % n * n + q // n)    # P(q^T)
                     if pt is None:
-                        p = _close(A, have, {q}, SUBALGEBRA_CAP)
+                        p = _close(A, A, have, {q}, SUBALGEBRA_CAP)
                     else:         # P(q) = P(q^T) transposed
                         p = tuple(sorted(v % n * n + v // n for v in pt))
                     principal[q] = p
@@ -667,7 +670,7 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
                     continue
                 done.add(p)
                 bigger = p if rel is base else \
-                    _close(A, have, p, SUBALGEBRA_CAP)
+                    _close(A, A, have, p, SUBALGEBRA_CAP)
                 if bigger not in found:
                     found[bigger] = BinaryRelation(A, _pairs(bigger, n))
                     frontier.append(bigger)
@@ -828,22 +831,19 @@ def admissibility_count_variety(vk: VarietyKite,
     return _pinned_count(frame, vk.alpha, vk.gamma, cap)
 
 
-def _cross_generates(frame: _AdmissibilityFrame) -> bool:
-    """Whether e1(A) u e2(C) generates E, closed through the watch lists:
-    then alpha and gamma fix a homomorphism from E, so no kite of the
-    frame has two admissibility morphisms.  Nullary operations watch
-    nothing: e1 is a homomorphism, so their constants lie in e1(A)."""
-    have = set(frame.e1).union(frame.e2)
-    queue, size = list(have), len(frame.labels)
-    while queue and len(have) < size:
-        e = queue.pop()
-        for t_e, _, args, watch in frame.laws:
-            for i in watch[e]:
-                out = t_e[i]
-                if out not in have and have.issuperset(args[i]):
-                    have.add(out)
-                    queue.append(out)
-    return len(have) == size
+def _cross_generates(A: OpAlgebra, C: OpAlgebra, f, r, g, s) -> bool:
+    """Whether the cross e1(A) u e2(C) generates E = A x_B C over these
+    legs of a kite: then alpha and gamma fix a homomorphism from E, so no
+    kite over them has two admissibility morphisms.  E, of sum_a
+    |g^-1(f a)| pairs, is a subalgebra of A x C holding the cross and,
+    in e1(A), the constants: the closure returns only while short of E."""
+    m, size = C.size, sum(map(g.count, f))
+    cross = {a * m + s[f[a]] for a in range(A.size)} | {
+        r[g[c]] * m + c for c in range(m)}
+    try:    # _close gives a closure short of E (non-empty: False) or raises
+        return len(cross) == size or not _close(A, C, (), cross, size - 1)
+    except BudgetExceeded:
+        return True
 
 
 def _pinned_count(frame: _AdmissibilityFrame, alpha, gamma,
@@ -935,14 +935,14 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
     mirror (ic, ia, gc, fa, gg, aa) came before it is skipped: swapping
     A with C, f with g and alpha with gamma keeps the kite conditions,
     and (a, c) -> (c, a) carries one's admissibility morphisms onto the
-    other's.  The four (aa, gg) of a leg pair share one frame, built at
-    its first valid kite; when its cross generates E, that kite and the
-    rest of the leg pair are skipped, each still examined and counted
-    against the budget.  Every candidate is a kite by construction: its
-    legs are projections and diagonals of compatible reflexive relations
-    and the identity of D, so homomorphisms, and a projection undoes a
-    diagonal.  Only the kite returned is validated, in full, by
-    VarietyKite."""
+    other's.  At a leg pair's first valid kite, whether its cross
+    generates E is decided from the legs; if so, it and the rest of the
+    leg pair are skipped, each still examined and counted against the
+    budget, and if not, its four (aa, gg) share one frame, built then.
+    Every candidate is a kite by construction: its legs are projections
+    and diagonals of compatible reflexive relations and the identity of
+    D, so homomorphisms, and a projection undoes a diagonal.  Only the
+    kite returned is validated, in full, by VarietyKite."""
     if budget < 0:
         raise IllTyped(f"budget must be >= 0, got {budget}")
     complete = True
@@ -968,11 +968,11 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
             legs = (proj_a[fa], diag_a, diag_c, proj_c[gc], proj_a[aa],
                     ident, proj_c[gg])
             if frame is None:
-                frame = _admissibility_frame(A, C, D, legs[0], diag_a,
-                                             legs[3], diag_c, shapes)
-                skip = _cross_generates(frame)
+                skip = _cross_generates(A, C, legs[0], diag_a, legs[3], diag_c)
                 if skip:
                     continue
+                frame = _admissibility_frame(A, C, D, legs[0], diag_a,
+                                             legs[3], diag_c, shapes)
             if _pinned_count(frame, legs[4], legs[6], 2).count >= 2:
                 return _WitnessSearch(VarietyKite(A, D, C, D, *legs),
                                       examined, family, complete)

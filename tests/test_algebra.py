@@ -2,7 +2,7 @@ import ast
 import gc
 import tracemalloc
 from dataclasses import replace
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -531,6 +531,51 @@ def test_relation_closure_matches_naive_fixpoint(A, seed, cap):
     assert relation_closure(A, seed) == naive_closure(A, seed)
 
 
+def naive_product_closure(A, C, pairs, cap=algebra.SUBALGEBRA_CAP):
+    """The closure of pairs in A x C by rounds over every argument tuple,
+    constants included, with naive_closure's cap."""
+    current = set(pairs)
+    while True:
+        snapshot = sorted(current)
+        new = {(A.apply(op_a, *(p[0] for p in args)),
+                C.apply(op_c, *(p[1] for p in args)))
+               for op_a, op_c in zip(A.ops, C.ops)
+               for args in product(snapshot, repeat=op_a.arity)}
+        grew = not new <= current
+        current |= new
+        if len(current) > cap:
+            raise BudgetExceeded("relation closure exceeded the element cap",
+                                 partial=tuple(sorted(current)))
+        if not grew:
+            return tuple(sorted(current))
+
+
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3),
+                 signatures()).flatmap(
+    lambda t: st.tuples(algebras(t[0], t[2]), algebras(t[1], t[2]))),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=3),
+       st.integers(0, 10))
+@settings(max_examples=200, deadline=None)
+def test_product_closure_matches_naive_fixpoint(AC, seed, new, cap):
+    """_close in A x C, from a closed set and new pairs: the same closure,
+    or the same BudgetExceeded text and partial."""
+    A, C = AC
+    assume(A != C)
+    m = C.size
+    closed = naive_product_closure(
+        A, C, [(a % A.size, c % m) for a, c in seed])
+    new = [(a % A.size, c % m) for a, c in new]
+
+    def close(A, C, closed, new, cap):
+        return algebra._pairs(algebra._close(
+            A, C, [a * m + c for a, c in closed],
+            [a * m + c for a, c in new], cap), m)
+
+    assert outcome(close, A, C, closed, new, cap) == \
+        outcome(naive_product_closure, A, C, set(closed) | set(new), cap)
+
+
 @given(small_algebras(), st.integers(1, 12))
 @settings(max_examples=150, deadline=None)
 def test_reflexive_relations_match_brute_force(A, budget):
@@ -584,10 +629,10 @@ def test_base_pass_closes_one_principal_relation_per_transpose_pair(
     calls = []
     close = algebra._close
 
-    def counting(A, closed, new, cap):
+    def counting(A, C, closed, new, cap):
         if set(closed) == diagonal:
             calls.append(tuple(new))
-        return close(A, closed, new, cap)
+        return close(A, C, closed, new, cap)
 
     monkeypatch.setattr(algebra, "_close", counting)
     assert [len(r.pairs) for r in reflexive_relations(A)] == [5, 25]
@@ -896,27 +941,25 @@ def test_witness_search_results_at_the_bench_budgets(D, budget, want):
             search.complete) == want
 
 
-def built_frames(D, budget):
-    """Every frame that _witness_search(D, budget) builds, with the
+def leg_pair_frames(D, budget):
+    """The leg pairs (ia, ic, fa, gc) of D's projection family whose kites
+    lie within the first `budget`, in the search's order: for each, the
+    legs-based _cross_generates, the frame built here, and the
     projections of its A and C."""
-    sides, frames = {}, []
-    side, build = algebra._relation_side, algebra._admissibility_frame
-
-    def recording_side(D, pairs):
-        out = side(D, pairs)
-        sides[id(out[0])] = out         # keeps A alive, so its id is kept
-        return out
-
-    def recording_frame(A, C, *rest):
-        frame = build(A, C, *rest)
-        frames.append((frame, sides[id(A)][2], sides[id(C)][2]))
-        return frame
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algebra, "_relation_side", recording_side)
-        patch.setattr(algebra, "_admissibility_frame", recording_frame)
-        algebra._witness_search(D, budget)
-    return frames
+    try:
+        rels = reflexive_relations(D, budget=budget)
+    except BudgetExceeded as exc:
+        rels = exc.partial or ()
+    sides = [relation_side(D, rel) for rel in rels]
+    leg_pairs = product(sides, sides, (0, 1), (0, 1))
+    out = []
+    for (A, diag_a, proj_a), (C, diag_c, proj_c), fa, gc in \
+            islice(leg_pairs, -(-budget // 4)):
+        legs = (proj_a[fa], diag_a, proj_c[gc], diag_c)
+        out.append((algebra._cross_generates(A, C, *legs),
+                    algebra._admissibility_frame(A, C, D, *legs, {}),
+                    proj_a, proj_c))
+    return out
 
 
 def naive_generated(frame):
@@ -932,36 +975,59 @@ def naive_generated(frame):
 
 
 def assert_generated_frames_have_one_morphism(D, budget=1000):
-    """On every frame the search builds over D, _cross_generates agrees
-    with the naive closure, and when it holds, no projection alpha and
-    gamma leave room for two admissibility morphisms.  Returns how many
-    frames were built and how many were generated."""
-    frames = built_frames(D, budget)
-    generated = 0
-    for frame, proj_a, proj_c in frames:
-        gen = algebra._cross_generates(frame)
+    """On every leg pair of the family over D within the budget,
+    _cross_generates agrees with the naive closure of the frame's cross,
+    and when it holds, no projection alpha and gamma leave room for two
+    admissibility morphisms.  Returns, per leg pair, whether it holds."""
+    generated = []
+    for gen, frame, proj_a, proj_c in leg_pair_frames(D, budget):
         assert gen == (len(naive_generated(frame)) == len(frame.labels))
         if gen:
-            generated += 1
             for aa, gg in product((0, 1), (0, 1)):
                 assert algebra._pinned_count(frame, proj_a[aa], proj_c[gg],
                                              2).count <= 1
-    return len(frames), generated
+        generated.append(gen)
+    return generated
 
 
 def test_generated_frames_have_one_morphism_on_the_gallery():
     for D in LAW_GALLERY + [JOIN2, two_element_set_algebra()]:
-        built, generated = assert_generated_frames_have_one_morphism(D)
-        assert built > 0
+        generated = assert_generated_frames_have_one_morphism(D)
+        assert generated
         if D == meet_semilattice2():
-            # the one frame that holds the witness is not generated
-            assert generated == built - 1
+            # of the leg pairs the search reaches, only the last, which
+            # holds the witness, is not generated
+            reached = generated[:-(-algebra._witness_search(D, 1000).examined
+                                   // 4)]
+            assert reached == [True] * (len(reached) - 1) + [False]
 
 
 @given(small_algebras())
 @settings(max_examples=50)
 def test_generated_frames_have_one_morphism_on_small_algebras(D):
     assert_generated_frames_have_one_morphism(D, 256)
+
+
+@pytest.mark.parametrize("D, budget, frames", [
+    (n5_lattice(), 50, 0), (cyclic_magma(3), 100, 0),
+    (chain_lattice(3), 50, 0), (cyclic_group(3), 50, 0),
+    (m3_lattice(), 20, 0), (meet_semilattice2(), 100, 1), (JOIN2, 100, 1)],
+    ids=["n5/50", "cmag3/100", "chain3/50", "group3/50", "m3/20",
+         "meet2/100", "join2/100"])
+def test_witness_search_builds_frames_only_where_the_cross_falls_short(
+        monkeypatch, D, budget, frames):
+    """Generation is decided from the legs: on the bench searches a frame
+    is built only for the leg pair that holds the witness."""
+    built = []
+    build = algebra._admissibility_frame
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(algebra, "_admissibility_frame", counting)
+    algebra._witness_search(D, budget)
+    assert len(built) == frames
 
 
 @given(commutative_magmas(max_size=3), st.data())
