@@ -7,6 +7,7 @@ the admissibility search propagates through per-element watch lists.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, groupby, product
@@ -65,11 +66,8 @@ VARIETY_TABLE = {
          "operation is not cancellative")), _CANCELLATION),
     "group": (*_ONE_BINARY, (
         _ASSOCIATIVE,
-        (lambda A, o: True if A.size and _unit_of(A, o[0]) is None else None,
-         "no unit element"),
-        (lambda A, o: next((x for x, ys in enumerate(_inverses(
-            A, o[0], _unit_of(A, o[0]))) if not ys), None),
-         "element {} has no inverse")), _UNIQUE_SOLUTION),
+        (lambda A, o: _unit_or_inverse_fault(A, o[0]), "{}")),
+        _UNIQUE_SOLUTION),
     "custom": ({}, "", (), None),
 }
 VARIETIES = tuple(VARIETY_TABLE)
@@ -216,6 +214,15 @@ def _inverses(A: OpAlgebra, op: Operation, e) -> list[list[int]]:
     n, t = A.size, op.table
     return [[y for y, (u, w) in enumerate(zip(t[x * n:(x + 1) * n], t[x::n]))
              if u == e == w] for x in range(n)]
+
+
+def _unit_or_inverse_fault(A: OpAlgebra, op: Operation) -> Optional[str]:
+    """The text of the failing unit or inverse axiom, the unit found once."""
+    e = _unit_of(A, op)
+    if A.size and e is None:
+        return "no unit element"
+    return next((f"element {x} has no inverse"
+                 for x, ys in enumerate(_inverses(A, op, e)) if not ys), None)
 
 
 def _validate_variety_axioms(A: OpAlgebra) -> None:
@@ -371,7 +378,8 @@ class MaltsevTable:
 
 def maltsev_table(A: OpAlgebra) -> MaltsevTable:
     """The ternary operation p(a,b,c) = the unique solution of
-    x * b = a * c, with the homomorphism law certified exhaustively.
+    x * b = a * c, with the homomorphism law certified exhaustively on
+    half the n^6 pairs of triples, which hold the first failure (below).
     The unit laws hold whenever the table builds: a solves x * b = a * b
     and, * being commutative, c solves x * b = b * c."""
     n = A.size
@@ -380,17 +388,20 @@ def maltsev_table(A: OpAlgebra) -> MaltsevTable:
     # p(a,b,c) * p(a2,b2,c2) = p(a*a2, b*b2, c*c2), all (a2, b2, c2) at
     # once; the left side depends only on u = p(a,b,c).  The right side
     # reads each block x n + y, x in row a and y in row b, at the places
-    # in row c; picked[c] holds those reads for every block
+    # in row c; picked[c] holds those reads for every block.  * being
+    # commutative, the law at (t, t2) is the law at (t2, t), so the first
+    # failure has t <= t2: only the blocks (a2, b2) >= (a, b) are read
     hom = holds("maltsev-hom-law")
     lhs_of = [[row[v] for v in table] for row in rows]
     blocks = [table[k * n:(k + 1) * n] for k in range(n * n)]
     picked = [[[blk[z] for z in row] for blk in blocks] for row in rows]
     for u, (a, b, c) in zip(table, product(range(n), repeat=3)):
         if c == 0:
-            keys = [x * n + y for x in rows[a] for y in rows[b]]
+            start = (a * n + b) * n
+            keys = [x * n + y for x in rows[a] for y in rows[b]][a * n + b:]
         rhs = list(chain.from_iterable(map(picked[c].__getitem__, keys)))
-        w = _first_difference(lhs_of[u], rhs, n, 3)
-        if w is not None:
+        if lhs_of[u][start:] != rhs:
+            w = _first_difference(lhs_of[u], lhs_of[u][:start] + rhs, n, 3)
             hom = fails("maltsev-hom-law", {"tuple": [a, b, c] + w})
             break
     return MaltsevTable(table, holds("maltsev-unit-laws"), hom)
@@ -528,7 +539,7 @@ def unary_monoid_from_group(A: OpAlgebra) -> OpAlgebra:
     inv = _group_inverse_table(A)       # IllTyped when there is no unit
     return OpAlgebra(A.size,
                      (Operation("*", 2, op.table),
-                      Operation("1", 0, (_unit_of(A, op),)),
+                      Operation("1", 0, (op.table[inv[0]],)),  # 0 * 0^-1 = 1
                       Operation("bar", 1, inv)),
                      "unary_monoid")
 
@@ -589,6 +600,12 @@ def _pairs(codes, n: int) -> tuple[tuple[int, int], ...]:
     return tuple([divmod(v, n) for v in codes])
 
 
+def _holds(codes, v: int) -> bool:
+    """Whether the sorted codes hold v."""
+    i = bisect_left(codes, v)
+    return i < len(codes) and codes[i] == v
+
+
 def _close(A: OpAlgebra, C: OpAlgebra, closed, new,
            cap: int) -> tuple[int, ...]:
     """The closure in A x C of closed | new, `closed` being closed, with
@@ -596,9 +613,11 @@ def _close(A: OpAlgebra, C: OpAlgebra, closed, new,
     Semi-naive: a round applies the operations only to argument tuples
     with a pair new in the round before.  It adds the same pairs as a
     naive round over all pairs, so the cap is met at the same round with
-    the same partial, which is given as pairs.  Relations close in A x A;
-    a kite's cross closes in A x C, so the witness search builds a frame
-    only where the cross does not generate E."""
+    the same partial, which is given as pairs.  A round that reaches all
+    of A x C, within the cap, ends the closure, as the round after it
+    could add nothing.  Relations close in A x A; a kite's cross closes
+    in A x C, so the witness search builds a frame only where the cross
+    does not generate E."""
     m = C.size
     old, delta = set(closed), set(new).difference(closed)
     old_pairs = _pairs(old, m)
@@ -616,6 +635,8 @@ def _close(A: OpAlgebra, C: OpAlgebra, closed, new,
         if len(old) + len(delta) > cap:
             raise BudgetExceeded("relation closure exceeded the element cap",
                                  partial=_pairs(sorted(old | delta), m))
+        if len(old) + len(delta) == A.size * m:   # all: nothing to add
+            return tuple(range(A.size * m))
         if not delta:
             return tuple(sorted(old))
 
@@ -631,7 +652,9 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
     P(y, x) is P(x, y) transposed and one of each pair is closed.  Every
     candidate q still counts one unit of the budget, and a transposed
     P(q) is as large as one already within the cap, so the enumeration
-    stops where and as it did.  Raises BudgetExceeded, with the
+    stops where and as it did.  Past the base, a q in an earlier join
+    S = R v P(q0) of R with q0 in P(q) has R v P(q) = S, so that join,
+    still counted, is not closed.  Raises BudgetExceeded, with the
     relations found so far as its partial, when more than `budget`
     candidates would be needed or a closure grows past SUBALGEBRA_CAP
     pairs; a negative budget is IllTyped.  Relations are held as sorted
@@ -651,6 +674,7 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
             rel = frontier.pop()
             have = set(rel)
             done = set()          # the P(q) already joined to rel
+            joins = []            # (q0, rel v P(q0)) closed so far
             for q in all_pairs:
                 if q in have:
                     continue
@@ -669,8 +693,14 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
                 if p in done:
                     continue
                 done.add(p)
-                bigger = p if rel is base else \
-                    _close(A, A, have, p, SUBALGEBRA_CAP)
+                # q in S = rel v P(q0) puts P(q) in S, and q0 in P(q) puts
+                # P(q0) in rel v P(q): so rel v P(q) = S
+                bigger = p if rel is base else next(
+                    (s for q0, s in joins if _holds(s, q) and _holds(p, q0)),
+                    None)
+                if bigger is None:
+                    bigger = _close(A, A, have, p, SUBALGEBRA_CAP)
+                    joins.append((q, bigger))
                 if bigger not in found:
                     found[bigger] = BinaryRelation(A, _pairs(bigger, n))
                     frontier.append(bigger)

@@ -2,7 +2,7 @@ import ast
 import gc
 import tracemalloc
 from dataclasses import replace
-from itertools import islice, product
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import pytest
@@ -638,6 +638,250 @@ def test_base_pass_closes_one_principal_relation_per_transpose_pair(
     assert [len(r.pairs) for r in reflexive_relations(A)] == [5, 25]
     assert sorted(calls) == [(x * 5 + y,) for x in range(5)
                              for y in range(x + 1, 5)]
+
+
+# The exits that the closure and the enumeration take on facts they
+# already hold: a closure ends once it holds all of A x C, and a join
+# that an earlier join of the same relation already decides is skipped.
+
+def close_pairs(A, C, closed, new, cap):
+    """_close on pairs (a, c) of A x C, its result given as pairs."""
+    m = C.size
+    return algebra._pairs(algebra._close(
+        A, C, [a * m + c for a, c in closed], [a * m + c for a, c in new],
+        cap), m)
+
+
+def full_closure_cases():
+    """(A, C, closed, new), `closed` being closed, each closing to all of
+    A x C; A = C first.  The groups' constant is the pair (0, 0)."""
+    z3, z2 = cyclic_group(3), cyclic_group(2)
+    diagonal = [(x, x) for x in range(3)]
+    yield z3, z3, diagonal, [(0, 1)]
+    yield z3, z3, [(0, 0)], [(0, 1), (1, 0)]
+    chain2 = chain_lattice(2)
+    yield chain2, chain2, [(0, 0), (1, 1)], [(0, 1), (1, 0)]
+    yield z2, z3, [(0, 0)], [(1, 1)]           # (1, 1) generates Z_2 x Z_3
+    yield z2, z3, [(0, 0), (0, 1), (0, 2)], [(1, 0)]
+    yield z3, z2, [(0, 0)], [(x, y) for x in range(3) for y in range(2)]
+    yield cyclic_magma(2), meet_semilattice2(), (), [(0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("case", list(full_closure_cases()),
+                         ids=lambda c: f"{c[0].size}x{c[1].size}-{len(c[3])}")
+def test_closure_reaching_the_full_relation_matches_naive_fixpoint(case):
+    """At cap |A||C| - 1 the full closure is over the cap, at |A||C| and
+    at SUBALGEBRA_CAP it is returned: the same closure, or the same
+    BudgetExceeded text and partial, as the naive fixpoint."""
+    A, C, closed, new = case
+    full = A.size * C.size
+    assert naive_product_closure(A, C, closed) == tuple(sorted(closed))
+    assert naive_product_closure(A, C, set(closed) | set(new)) == \
+        tuple(product(range(A.size), range(C.size)))
+    for cap in (full - 1, full, algebra.SUBALGEBRA_CAP):
+        assert outcome(close_pairs, A, C, closed, new, cap) == \
+            outcome(naive_product_closure, A, C, set(closed) | set(new), cap)
+
+
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3),
+                 signatures()).flatmap(
+    lambda t: st.tuples(algebras(t[0], t[2]), algebras(t[1], t[2]))),
+       st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=3),
+       st.integers(-1, 1), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_closure_from_all_but_a_few_pairs_matches_naive_fixpoint(
+        AC, missing, cap_offset, square):
+    """Seeded with all of A x C but a few pairs, most closures reach the
+    full relation, at caps about |A||C|.  The closed part is the closure
+    of no pairs, the constants."""
+    A, C = AC
+    if square:
+        C = A
+    closed = naive_product_closure(A, C, ())
+    pairs = set(product(range(A.size), range(C.size)))
+    new = pairs - {(a % A.size, c % C.size) for a, c in missing}
+    cap = A.size * C.size + cap_offset
+    assert outcome(close_pairs, A, C, closed, new, cap) == \
+        outcome(naive_product_closure, A, C, set(closed) | new, cap)
+
+
+def reference_reflexive_relations(A, budget=10000):
+    """reflexive_relations closing every join of a relation with a new
+    principal relation, as it did before joins decided by containment
+    were skipped."""
+    if budget < 0:
+        raise IllTyped(f"budget must be >= 0, got {budget}")
+    n = A.size
+    found = {}
+    try:
+        base = tuple(x * n + y for x, y in relation_closure(A, ()))
+        frontier = [base]
+        found[base] = BinaryRelation(A, algebra._pairs(base, n))
+        principal = {}
+        closures = 1
+        all_pairs = [x * n + y for x in range(n) for y in range(n) if x != y]
+        while frontier:
+            rel = frontier.pop()
+            have = set(rel)
+            done = set()
+            for q in all_pairs:
+                if q in have:
+                    continue
+                closures += 1
+                if closures > budget:
+                    raise BudgetExceeded(
+                        f"relation enumeration exceeded budget {budget}")
+                p = principal.get(q)
+                if p is None:
+                    pt = principal.get(q % n * n + q // n)
+                    if pt is None:
+                        p = algebra._close(A, A, have, {q},
+                                           algebra.SUBALGEBRA_CAP)
+                    else:
+                        p = tuple(sorted(v % n * n + v // n for v in pt))
+                    principal[q] = p
+                if p in done:
+                    continue
+                done.add(p)
+                bigger = p if rel is base else \
+                    algebra._close(A, A, have, p, algebra.SUBALGEBRA_CAP)
+                if bigger not in found:
+                    found[bigger] = BinaryRelation(A, algebra._pairs(bigger, n))
+                    frontier.append(bigger)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(str(exc), partial=tuple(found.values())) from None
+    return tuple(sorted(found.values(), key=lambda r: (len(r.pairs), r.pairs)))
+
+
+def assert_budget_sweep_matches_reference(A):
+    """The same outcome at every budget from 0 up to the first at which
+    the enumeration completes.  _close is pure, so the sweep reads each
+    closure it has already made from a memo."""
+    close, memo = algebra._close, {}
+
+    def memoized(A, C, closed, new, cap):
+        key = (frozenset(closed), frozenset(new), cap)
+        if key not in memo:
+            memo[key] = close(A, C, closed, new, cap)
+        return memo[key]
+
+    budget = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_close", memoized)
+        while True:
+            got = outcome(reflexive_relations, A, budget)
+            assert got == outcome(reference_reflexive_relations, A, budget)
+            if got[:1] != (BudgetExceeded,):
+                return budget
+            budget += 1
+
+
+@pytest.mark.parametrize("A", [n5_lattice(), m3_lattice(),
+                               two_by_two_lattice(), chain_lattice(3),
+                               chain_lattice(4)],
+                         ids=["n5", "m3", "2x2", "chain3", "chain4"])
+def test_join_skipping_matches_the_reference_at_every_budget(A):
+    assert assert_budget_sweep_matches_reference(A) > 0
+
+
+@given(small_algebras())
+@settings(max_examples=60, deadline=None)
+def test_join_skipping_matches_the_reference_on_small_algebras(A):
+    assert_budget_sweep_matches_reference(A)
+
+
+@pytest.mark.parametrize("A, parent, closures", [
+    (n5_lattice(), 153, 109), (two_by_two_lattice(), 79, 47),
+    (chain_lattice(3), 78, 78)], ids=["n5", "2x2", "chain3"])
+def test_full_enumerations_close_fewer_joins(monkeypatch, A, parent,
+                                             closures):
+    """Every _close call of a full enumeration, the base and principal
+    relations included; `parent` is the count when every join was
+    closed.  A chain's joins are never decided by an earlier one."""
+    calls = []
+    close = algebra._close
+
+    def counting(*args):
+        calls.append(args)
+        return close(*args)
+
+    monkeypatch.setattr(algebra, "_close", counting)
+    rels = reflexive_relations(A)
+    count = len(calls)
+    calls.clear()
+    assert reference_reflexive_relations(A) == rels
+    assert (count, len(calls)) == (closures, parent)
+
+
+def first_hom_law_failure(A):
+    """The first failing tuple of the full-scan oracle, or None when the
+    law holds or the table does not build."""
+    try:
+        hom = oracle_maltsev_table(A).hom_law
+    except (NoSolution, MultipleSolutions):
+        return None
+    return None if hom.ok else hom.witness["tuple"]
+
+
+def mirror_fact_magmas():
+    """Every commutative magma of size <= 3, the isotopes of Z_4 and of
+    (Z_2)^2, and the Z_5 and Z_6 isotopes of the per-entry test."""
+    for n in (1, 2, 3):
+        for t in _commutative_tables(n):
+            yield OpAlgebra(n, (Operation("*", 2, t),), "cmag")
+    for sigma in permutations(range(4)):
+        yield isotope(sigma)
+        yield isotope(sigma, lambda x, y: x ^ y)
+    for sigma in ((4, 1, 0, 3, 2), (1, 0, 2, 3, 4), (4, 5, 0, 2, 1, 3),
+                  (0, 1, 3, 2, 4, 5), (5, 4, 3, 2, 1, 0)):
+        yield isotope(sigma)
+
+
+def hom_law_failures(A):
+    """Every pair (t, t2) of argument triples at which the law fails."""
+    n, op = A.size, binary_op(A)
+    p = oracle_maltsev_table(A).p
+    triples = list(product(range(n), repeat=3))
+    return {(t, t2) for t, t2 in product(triples, repeat=2)
+            if A.apply(op, p(n, *t), p(n, *t2)) != p(n, *(
+                A.apply(op, x, y) for x, y in zip(t, t2)))}
+
+
+def test_first_hom_law_failure_has_the_lesser_triple_first():
+    """* being commutative, the law at (t, t2) is the law at (t2, t): the
+    failing pairs come in mirror pairs, so the full scan first fails at
+    some t <= t2, and the half scan of maltsev_table reads only those."""
+    seen = 0
+    for A in mirror_fact_magmas():
+        w = first_hom_law_failure(A)
+        if w is None:
+            continue
+        seen += 1
+        assert w[:3] <= w[3:]
+        failures = hom_law_failures(A)
+        assert {(t2, t) for t, t2 in failures} == failures
+        assert min(failures) == (tuple(w[:3]), tuple(w[3:]))
+    assert seen > 2
+
+
+def test_group_validation_finds_the_unit_once(monkeypatch):
+    """A group's validation finds its unit once for the unit and inverse
+    axioms; its unary-monoid view once more, to check the constant."""
+    calls = []
+    unit_of = algebra._unit_of
+
+    def counting(A, op):
+        calls.append(A.size)
+        return unit_of(A, op)
+
+    monkeypatch.setattr(algebra, "_unit_of", counting)
+    for G in (cyclic_group(4), klein_four()):
+        calls.clear()
+        G = replace(G)
+        assert calls == [4]
+        M = unary_monoid_from_group(G)
+        assert calls == [4, 4, 4]
+        assert M.ops[1].table == (0,)
 
 
 @given(commutative_magmas(), st.tuples(*[st.integers(0, 3)] * 3))
