@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, combinations, groupby, product
+from functools import cache, cached_property
+from itertools import combinations, groupby, product
+from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -77,6 +78,8 @@ SUBALGEBRA_CAP = 512
 
 @dataclass(frozen=True)
 class Operation:
+    """An operation's symbol, arity and flat table.  `commutative`, read
+    off the table on first use, is kept outside the fields."""
     symbol: str
     arity: int
     table: tuple[int, ...]
@@ -85,6 +88,12 @@ class Operation:
         object.__setattr__(self, "table", tuple(self.table))
         if self.arity < 0:
             raise IllTyped(f"operation {self.symbol}: negative arity")
+
+    @cached_property
+    def commutative(self) -> bool:
+        t, n = self.table, isqrt(len(self.table))
+        return self.arity == 2 and all(t[x * n:(x + 1) * n] == t[x::n]
+                                       for x in range(n))
 
 
 @dataclass(frozen=True)
@@ -378,32 +387,29 @@ class MaltsevTable:
 
 def maltsev_table(A: OpAlgebra) -> MaltsevTable:
     """The ternary operation p(a,b,c) = the unique solution of
-    x * b = a * c, with the homomorphism law certified exhaustively on
-    half the n^6 pairs of triples, which hold the first failure (below).
-    The unit laws hold whenever the table builds: a solves x * b = a * b
-    and, * being commutative, c solves x * b = b * c."""
+    x * b = a * c.  The unit laws hold whenever the table builds: a solves
+    x * b = a * b and, * being commutative, c solves x * b = b * c.  The
+    hom law is certified as mediality of *, in n^4 (below); only a table
+    that fails it is scanned, in order, for the first failing (t, t2)."""
     n = A.size
     rows, solve = _maltsev_solver(A)
     table = tuple(solve(a, b, c) for a, b, c in product(range(n), repeat=3))
-    # p(a,b,c) * p(a2,b2,c2) = p(a*a2, b*b2, c*c2), all (a2, b2, c2) at
-    # once; the left side depends only on u = p(a,b,c).  The right side
-    # reads each block x n + y, x in row a and y in row b, at the places
-    # in row c; picked[c] holds those reads for every block.  * being
-    # commutative, the law at (t, t2) is the law at (t2, t), so the first
-    # failure has t <= t2: only the blocks (a2, b2) >= (a, b) are read
+    # Each row of * is a bijection, so * is a commutative quasigroup, and
+    # p(t) p(t2) = p(t t2) iff * is medial (Bruck, Trans. AMS 55, 1944).
+    # If: u = p(a,b,c), u2 = p(a2,b2,c2) give (u u2)(b b2) = (u b)(u2 b2)
+    # = (a c)(a2 c2) = (a a2)(c c2), so u u2 = p(a a2, b b2, c c2) by
+    # uniqueness.  Only if: p(x,z,z) = x and p(y,y,w) = w by the unit
+    # laws, so the law there reads (x w)(z y) = (x y)(z w).
     hom = holds("maltsev-hom-law")
-    lhs_of = [[row[v] for v in table] for row in rows]
-    blocks = [table[k * n:(k + 1) * n] for k in range(n * n)]
-    picked = [[[blk[z] for z in row] for blk in blocks] for row in rows]
-    for u, (a, b, c) in zip(table, product(range(n), repeat=3)):
-        if c == 0:
-            start = (a * n + b) * n
-            keys = [x * n + y for x in rows[a] for y in rows[b]][a * n + b:]
-        rhs = list(chain.from_iterable(map(picked[c].__getitem__, keys)))
-        if lhs_of[u][start:] != rhs:
-            w = _first_difference(lhs_of[u], lhs_of[u][:start] + rhs, n, 3)
-            hom = fails("maltsev-hom-law", {"tuple": [a, b, c] + w})
-            break
+    if _is_medial(A, binary_op(A)) is not None:
+        lhs_of = [[row[v] for v in table] for row in rows]
+        for u, (a, b, c) in zip(table, product(range(n), repeat=3)):
+            w = _first_difference(lhs_of[u], [
+                table[(x * n + y) * n + z]
+                for x in rows[a] for y in rows[b] for z in rows[c]], n, 3)
+            if w is not None:
+                hom = fails("maltsev-hom-law", {"tuple": [a, b, c] + w})
+                break
     return MaltsevTable(table, holds("maltsev-unit-laws"), hom)
 
 
@@ -613,21 +619,25 @@ def _close(A: OpAlgebra, C: OpAlgebra, closed, new,
     Semi-naive: a round applies the operations only to argument tuples
     with a pair new in the round before.  It adds the same pairs as a
     naive round over all pairs, so the cap is met at the same round with
-    the same partial, which is given as pairs.  A round that reaches all
-    of A x C, within the cap, ends the closure, as the round after it
-    could add nothing.  Relations close in A x A; a kite's cross closes
-    in A x C, so the witness search builds a frame only where the cross
-    does not generate E."""
+    the same partial, which is given as pairs.  All of A x C within the
+    cap, before a round or after one, ends the closure.  An operation
+    commutative in A and C takes the new pair first only: the images of
+    (old, delta) are those of (delta, old), among those of (delta,
+    current).  Relations close in A x A, a kite's cross in A x C, so the
+    witness search builds a frame only where the cross misses E."""
     m = C.size
     old, delta = set(closed), set(new).difference(closed)
     old_pairs = _pairs(old, m)
     while True:
+        if len(old) + len(delta) == A.size * m <= cap:  # all: nothing to add
+            return tuple(range(A.size * m))
         current = old | delta
         delta_pairs = _pairs(delta, m)
         current_pairs = old_pairs + delta_pairs
         found: set[int] = set()
         for op_a, op_c in zip(A.ops, C.ops):
-            for i in range(op_a.arity):
+            positions = op_a.arity - (op_a.commutative and op_c.commutative)
+            for i in range(positions):
                 found.update(_coded_images(
                     op_a, A.size, op_c, m, (old_pairs,) * i + (delta_pairs,)
                     + (current_pairs,) * (op_a.arity - i - 1)))
@@ -635,8 +645,6 @@ def _close(A: OpAlgebra, C: OpAlgebra, closed, new,
         if len(old) + len(delta) > cap:
             raise BudgetExceeded("relation closure exceeded the element cap",
                                  partial=_pairs(sorted(old | delta), m))
-        if len(old) + len(delta) == A.size * m:   # all: nothing to add
-            return tuple(range(A.size * m))
         if not delta:
             return tuple(sorted(old))
 

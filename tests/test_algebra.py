@@ -1,7 +1,7 @@
 import ast
 import gc
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import islice, permutations, product
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from finkite.errors import (BudgetExceeded, FinkiteError, IllTyped,
                             MissingOperation, MultipleSolutions,
                             NoSolution, NotAHomomorphism, UnsupportedVariety)
 from finkite.report import fails, holds
+from finkite.schemas import dump_algebra, load_algebra
 from finkite.gallery import (chain_lattice, cyclic_group, cyclic_magma,
                              klein_four, m3_dimagma, m3_lattice,
                              meet_semilattice2, n5_lattice,
@@ -576,6 +577,86 @@ def test_product_closure_matches_naive_fixpoint(AC, seed, new, cap):
         outcome(naive_product_closure, A, C, set(closed) | set(new), cap)
 
 
+def binary_table(rng, n, symmetric):
+    """A binary table on n elements with uniform random entries: symmetric
+    when asked, else with 0 1 != 1 0 when n > 1."""
+    t = [rng.randrange(n) for _ in range(n * n)]
+    for x, y in product(range(n), repeat=2):
+        if symmetric and x < y:
+            t[y * n + x] = t[x * n + y]
+    if not symmetric and n > 1 and t[1] == t[n]:
+        t[1] = (t[n] + 1) % n
+    return tuple(t)
+
+
+@st.composite
+def binary_pairs(draw):
+    """(A, C) with one binary operation, commutative in both, in A only
+    (C then has two or three elements), or in neither; C = A in about a
+    third of the draws of the other two kinds.  The entries are drawn
+    uniformly, as hypothesis's integer lists lean to repeated values."""
+    sym_a, sym_c = draw(st.sampled_from([(True, True), (True, False),
+                                         (False, False)]))
+    na = draw(st.integers(1, 3))
+    nc = draw(st.integers(1 + (sym_a and not sym_c), 3))
+    rng = draw(st.randoms(use_true_random=False))
+    A = OpAlgebra(na, (Operation("*", 2, binary_table(rng, na, sym_a)),))
+    if sym_a == sym_c and draw(st.integers(0, 2)) == 0:
+        return A, A
+    return A, OpAlgebra(nc, (Operation("*", 2, binary_table(rng, nc, sym_c)),))
+
+
+@given(binary_pairs(),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1,
+                max_size=3),
+       st.integers(0, 10))
+@example((chain_lattice(2), chain_lattice(3)), [], [(0, 1), (1, 0)], 10)
+@example((cyclic_group(3), cyclic_magma(2)), [(0, 0)], [(1, 1)], 6)
+@example((OpAlgebra(1, (Operation("*", 2, (0,)),)), OpAlgebra(3, (
+    Operation("*", 2, (0, 2, 0, 1, 1, 1, 2, 2, 2)),))), [(0, 0)], [(0, 1)], 9)
+@example((left_projection_magma(), left_projection_magma()), [(0, 0)],
+         [(0, 1)], 4)
+@settings(max_examples=200, deadline=None)
+def test_commutative_operations_close_as_the_naive_fixpoint(AC, seed, new,
+                                                            cap):
+    """A binary operation commutative in A and C is applied with the new
+    pair first only; commutative in A alone, or in neither, in both
+    orders: in each case the same closure, or the same BudgetExceeded
+    text and partial, as the naive fixpoint."""
+    A, C = AC
+    closed = naive_product_closure(
+        A, C, [(a % A.size, c % C.size) for a, c in seed])
+    new = [(a % A.size, c % C.size) for a, c in new]
+    assert outcome(close_pairs, A, C, closed, new, cap) == \
+        outcome(naive_product_closure, A, C, set(closed) | set(new), cap)
+
+
+@pytest.mark.parametrize("A, parent, images", [
+    (n5_lattice(), 708, 354), (m3_lattice(), 164, 82),
+    (chain_lattice(4), 5260, 2578), (cyclic_magma(5), 62, 31)],
+    ids=["n5", "m3", "chain4", "cmag5"])
+def test_commutative_operations_close_from_one_argument_order(
+        monkeypatch, A, parent, images):
+    """The _coded_images calls of a full enumeration, each one argument
+    position of one operation in one closure round.  `parent` is the
+    count when both positions of a commutative operation were applied
+    and a closure that started full ran one round; only chain4 has such
+    a closure.  The relations are the same as the reference's."""
+    calls = []
+    coded_images = algebra._coded_images
+
+    def counting(*args):
+        calls.append(1)
+        return coded_images(*args)
+
+    monkeypatch.setattr(algebra, "_coded_images", counting)
+    rels = reflexive_relations(A)
+    assert len(calls) == images < parent
+    monkeypatch.undo()
+    assert rels == reference_reflexive_relations(A)
+
+
 @given(small_algebras(), st.integers(1, 12))
 @settings(max_examples=150, deadline=None)
 def test_reflexive_relations_match_brute_force(A, budget):
@@ -862,6 +943,72 @@ def test_first_hom_law_failure_has_the_lesser_triple_first():
         assert {(t2, t) for t, t2 in failures} == failures
         assert min(failures) == (tuple(w[:3]), tuple(w[3:]))
     assert seen > 2
+
+
+def assert_hom_law_is_mediality(A):
+    """Where the table builds, the oracle's scan of all n^6 pairs of
+    argument triples holds iff * is medial, and maltsev_table reports
+    the same: a failing report names the scan's first failure, the one
+    first_hom_law_failure gives.  The verdict, or None where the table
+    does not build."""
+    try:
+        want = oracle_maltsev_table(A).hom_law
+    except (NoSolution, MultipleSolutions):
+        return None
+    assert want.ok == (algebra._is_medial(A, binary_op(A)) is None)
+    assert maltsev_table(A).hom_law == want
+    return want.ok
+
+
+def test_hom_law_is_mediality_on_every_commutative_table_up_to_3():
+    verdicts = [assert_hom_law_is_mediality(OpAlgebra(n, (
+        Operation("*", 2, t),), "cmag"))
+        for n in (0, 1, 2, 3) for t in _commutative_tables(n)]
+    # every table that builds holds the law: 1, 1, 2 and 6 at n = 0 .. 3
+    assert verdicts.count(True) == 10 and False not in verdicts
+
+
+@st.composite
+def commutative_latin_squares(draw, max_size=7):
+    """A symmetric Latin square on at most max_size elements, its cells
+    (x, y), x <= y, filled row by row by a search that tries the values
+    in a drawn order and backtracks."""
+    n = draw(st.integers(1, max_size))
+    rng = draw(st.randoms(use_true_random=False))
+    cells = [(x, y) for x in range(n) for y in range(x, n)]
+    orders = [rng.sample(range(n), n) for _ in cells]
+    table, used = [0] * (n * n), [set() for _ in range(n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        x, y = cells[k]
+        for v in orders[k]:
+            if v not in used[x] and v not in used[y]:
+                table[x * n + y] = table[y * n + x] = v
+                used[x].add(v)
+                used[y].add(v)
+                if fill(k + 1):
+                    return True
+                used[x].discard(v)
+                used[y].discard(v)
+        return False
+
+    assert fill(0)
+    return OpAlgebra(n, (Operation("*", 2, tuple(table)),), "cmag")
+
+
+# Medial ones at sizes where a drawn square rarely is: the affine
+# isotopes x * y = 3 (x + y) + 1 of Z_7 and x * y = 5 - (x + y) of Z_6,
+# and Z_5 itself; and an isotope of Z_6 that fails the law
+@given(commutative_latin_squares())
+@example(isotope(tuple((3 * v + 1) % 7 for v in range(7))))
+@example(isotope(tuple((5 - v) % 6 for v in range(6))))
+@example(isotope(tuple(range(5))))
+@example(isotope((4, 5, 0, 2, 1, 3)))
+@settings(max_examples=60, deadline=None)
+def test_hom_law_is_mediality_on_commutative_latin_squares(A):
+    assert assert_hom_law_is_mediality(A) is not None
 
 
 def test_group_validation_finds_the_unit_once(monkeypatch):
@@ -1795,6 +1942,31 @@ def test_law_checks_match_apply_oracles_on_commutative_magmas(A):
 @settings(max_examples=150)
 def test_law_checks_match_apply_oracles_near_the_gallery(A, data):
     assert_laws_match_oracles(perturbed(A, data))
+
+
+@given(st.one_of(small_algebras(), commutative_magmas()))
+@settings(max_examples=150)
+def test_reading_commutativity_keeps_the_operation_a_value(A):
+    """`commutative` is right, and reading it changes none of what makes
+    an Operation a value: equality, hashing, repr, replace, the schema
+    round trip and immutability."""
+    for op in A.ops:
+        twin = Operation(op.symbol, op.arity, op.table)
+        before = (hash(op), repr(op), dump_algebra(A))
+        assert op.commutative == (
+            op.arity == 2 and oracle_is_commutative(A, op) is None)
+        assert op == twin and twin == op
+        assert (hash(op), repr(op), dump_algebra(A)) == before
+        assert hash(op) == hash(twin) == hash((op.symbol, op.arity, op.table))
+        assert repr(op) == repr(twin) == f"Operation(symbol={op.symbol!r}, " \
+            f"arity={op.arity!r}, table={op.table!r})"
+        assert replace(op) == op and replace(op, symbol="g") == \
+            Operation("g", op.arity, op.table)
+        assert load_algebra(dump_algebra(A)) == A
+        for name, value in (("commutative", False), ("table", ())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(op, name, value)
+        assert op == twin and op.commutative == twin.commutative
 
 
 def ops2(*tables):

@@ -1,4 +1,5 @@
 import json
+import signal
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -220,6 +221,28 @@ def test_relations_budget_exit(capsys, tmp_path):
     code, out = run(capsys, "relations", empty, "--reflexive",
                     "--budget", "3")
     assert code == 3 and out["verdict"] == "inconclusive"
+
+
+def test_relations_on_one_point_run_no_closure_round(capsys, tmp_path):
+    """On one point the diagonal is all of A x A, so its closure ends
+    before a round and an operation of arity 10^7 is never applied.  A
+    round would take hours: a one-second alarm ends the call."""
+    path = write(tmp_path, "point.json",
+                 {"kind": "algebra", "size": 1, "variety": "custom",
+                  "ops": [{"symbol": "f", "arity": 10 ** 7, "table": [0]}]})
+
+    def alarm(signum, frame):
+        raise TimeoutError("relations ran for more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out = run(capsys, "relations", path, "--reflexive")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and out["count"] == 1
+    assert out["relations"][0]["pairs"] == [[0, 0]]
 
 
 def test_equiv23_command(capsys):
