@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, groupby, product
+from itertools import chain, combinations, groupby, product
 from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import (BudgetExceeded, IllTyped, MissingOperation,
                      MultipleSolutions, NoSolution, NotAHomomorphism,
                      UnsupportedVariety)
-from .finmaps import FinMap, cross_pins, fibres, index_of
+from .finmaps import FinMap, _gather, cross_pins, fibres, index_of
 from .limits import LocalProduct, SplitCospan, local_product
 from .report import Report, fails, holds
 
@@ -202,9 +202,9 @@ def _is_associative(A: OpAlgebra, op: Operation) -> Optional[tuple[int, int, int
     """The first (x, y, z) with (x y) z != x (y z): the rows of the x y
     laid end to end, against each row x read through the whole table."""
     n, t = A.size, op.table
-    rows = _rows(t, n)
-    lhs = [v for u in t for v in rows[u]]
-    rhs = [v for row in rows for v in map(row.__getitem__, t)]
+    rows, read = _rows(t, n), _gather(t)
+    lhs = list(chain.from_iterable(read(rows)))
+    rhs = list(chain.from_iterable(map(read, rows)))
     w = _first_difference(lhs, rhs, n, 3)
     return None if w is None else tuple(w)
 
@@ -260,10 +260,12 @@ def _absorption_witness(A: OpAlgebra, meet, join) -> Optional[int]:
 def _is_medial(A: OpAlgebra, op: Operation) -> Optional[tuple]:
     """The first (x, y, z, w) with (x y)(z w) != (x z)(y w)."""
     n, t = A.size, op.table
-    rows = _rows(t, n)
-    lhs = [v for u in t for v in map(rows[u].__getitem__, t)]
-    rhs = [v for rx in rows for ry in rows
-           for u in rx for v in map(rows[u].__getitem__, ry)]
+    rows, read = _rows(t, n), _gather(t)
+    reads = list(map(_gather, rows))
+    lhs = list(chain.from_iterable(map(read, read(rows))))
+    # for each (x, y), the rows x z, z in order, each read through row y
+    rhs = list(chain.from_iterable(chain.from_iterable(
+        map(ry, xz) for xz in [rx(rows) for rx in reads] for ry in reads)))
     w = _first_difference(lhs, rhs, n, 4)
     return None if w is None else tuple(w)
 
@@ -346,11 +348,10 @@ def check_unary_monoid_law(A: OpAlgebra) -> Report:
     return fails("unary-monoid-law", {"pair": list(w)})
 
 
-def _maltsev_solver(A: OpAlgebra):
+def _maltsev_solver(A: OpAlgebra, op: Operation):
     """(rows, solve): solve(a, b, c) is the unique x with x * b = a * c."""
     n = A.size
-    op = binary_op(A)
-    if _is_commutative(A, op) is not None:
+    if not op.commutative:
         raise IllTyped("maltsev_solve needs a commutative operation")
     rows = _rows(op.table, n)
     # x * b = b * x, so the solutions of x * b = v are the places of v in row b
@@ -369,7 +370,7 @@ def _maltsev_solver(A: OpAlgebra):
 
 def maltsev_solve(A: OpAlgebra, a: int, b: int, c: int) -> int:
     """The unique x with x * b = a * c for a commutative binary operation."""
-    solve = _maltsev_solver(A)[1]
+    solve = _maltsev_solver(A, binary_op(A))[1]
     if not all(0 <= v < A.size for v in (a, b, c)):
         raise IllTyped(f"arguments ({a}, {b}, {c}) lie outside 0..{A.size - 1}")
     return solve(a, b, c)
@@ -391,8 +392,8 @@ def maltsev_table(A: OpAlgebra) -> MaltsevTable:
     x * b = a * b and, * being commutative, c solves x * b = b * c.  The
     hom law is certified as mediality of *, in n^4 (below); only a table
     that fails it is scanned, in order, for the first failing (t, t2)."""
-    n = A.size
-    rows, solve = _maltsev_solver(A)
+    n, op = A.size, binary_op(A)
+    rows, solve = _maltsev_solver(A, op)
     table = tuple(solve(a, b, c) for a, b, c in product(range(n), repeat=3))
     # Each row of * is a bijection, so * is a commutative quasigroup, and
     # p(t) p(t2) = p(t t2) iff * is medial (Bruck, Trans. AMS 55, 1944).
@@ -401,7 +402,7 @@ def maltsev_table(A: OpAlgebra) -> MaltsevTable:
     # uniqueness.  Only if: p(x,z,z) = x and p(y,y,w) = w by the unit
     # laws, so the law there reads (x w)(z y) = (x y)(z w).
     hom = holds("maltsev-hom-law")
-    if _is_medial(A, binary_op(A)) is not None:
+    if _is_medial(A, op) is not None:
         lhs_of = [[row[v] for v in table] for row in rows]
         for u, (a, b, c) in zip(table, product(range(n), repeat=3)):
             w = _first_difference(lhs_of[u], [
@@ -474,8 +475,9 @@ def check_distributive(A: OpAlgebra) -> Report:
     n = A.size
     meets, joins = _rows(meet.table, n), _rows(join.table, n)
     # meet(x, join(y, z)) and join(meet(x, y), meet(x, z)) over (x, y, z)
-    lhs = [v for mx in meets for v in map(mx.__getitem__, join.table)]
-    rhs = [v for mx in meets for u in mx for v in map(joins[u].__getitem__, mx)]
+    lhs = list(chain.from_iterable(map(_gather(join.table), meets)))
+    rhs = list(chain.from_iterable(chain.from_iterable(
+        map(rx, rx(joins)) for rx in map(_gather, meets))))
     w = _first_difference(lhs, rhs, n, 3)
     if w is None:
         return holds("distributive")
@@ -569,7 +571,7 @@ def equivalence_2_3_check(A: OpAlgebra) -> Report:
     """Sanity oracle: cancellation agrees with the at-most-one-solution
     condition, both computed independently."""
     op = binary_op(A)
-    if _is_commutative(A, op) is not None:
+    if not op.commutative:
         raise IllTyped("equivalence check needs a commutative operation")
     cond2, cond3 = _equiv23_conditions(op.table, A.size)
     details = (f"cancellation: {cond2}", f"at most one solution: {cond3}")

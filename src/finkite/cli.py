@@ -19,7 +19,7 @@ from .errors import (BudgetExceeded, FinkiteError, HypothesisViolation,
                      IllTyped, InvalidSplitting, MissingOperation,
                      MultipleSolutions, NoSolution, NotAHomomorphism,
                      SchemaError, UnsupportedVariety)
-from .finmaps import index_of, ismember
+from .finmaps import _gather, index_of, ismember
 from .report import Report, counted, fails, holds, inconclusive
 
 
@@ -251,8 +251,9 @@ def _commutative_tables(n: int) -> Iterator[tuple[int, ...]]:
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     cell = index_of(cells)
     index = [cell[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
+    read = _gather(index)
     for values in product(range(n), repeat=len(cells)):
-        yield tuple(map(values.__getitem__, index))
+        yield read(values)
 
 
 def _cmd_equiv23(args) -> int:

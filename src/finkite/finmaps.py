@@ -8,8 +8,9 @@ tables, so all values here are immutable and all functions pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import prod
+from operator import itemgetter
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import DomainMismatch, IllTyped
@@ -64,13 +65,25 @@ def identity(n: int) -> FinMap:
     return FinMap._derived(n, n, tuple(range(n)))
 
 
+def _gather(idx: Sequence[int]):
+    """t -> tuple(t[i] for i in idx), read in C by one itemgetter; one
+    index and none are handled apart, as there itemgetter returns a bare
+    entry or cannot be built."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        i = idx[0]
+        return lambda t: (t[i],)
+    return lambda t: ()
+
+
 def compose(g: FinMap, f: FinMap) -> FinMap:
-    """g after f.  Requires f.cod == g.dom."""
+    """g after f, g's table read through f's in one gather.  Requires
+    f.cod == g.dom."""
     if f.cod != g.dom:
         raise DomainMismatch(
             f"cannot compose: middle objects differ ({f.cod} vs {g.dom})")
-    table = g.table
-    return FinMap._derived(f.dom, g.cod, tuple([table[v] for v in f.table]))
+    return FinMap._derived(f.dom, g.cod, _gather(f.table)(g.table))
 
 
 def is_mono(f: FinMap) -> bool:
@@ -136,7 +149,11 @@ def ismember_pullback(f: FinMap, u: FinMap) -> tuple[FinMap, FinMap]:
 
 
 def pairing_is_injective(p1: FinMap, p2: FinMap) -> Optional[tuple[int, int]]:
-    """None if x -> (p1 x, p2 x) is injective, else a witness pair."""
+    """None if x -> (p1 x, p2 x) is injective, else the pair (x', x) of
+    the least x whose pair repeats and its first holder x'.  One set of
+    the pairs accepts; only a clash is scanned to name its witness."""
+    if len(set(zip(p1.table, p2.table))) == p1.dom:
+        return None
     seen = {}
     for x in range(p1.dom):
         key = (p1.table[x], p2.table[x])
@@ -239,13 +256,11 @@ def solve_cross(e1: FinMap, alpha: FinMap, e2: FinMap, gamma: FinMap,
     if pins is None:
         return SolveResult(0, (), False, counted(command, 0))
     over = fibres(zip(d.table, c.table))
-    allowed: list[Sequence[int]] = []
-    for x, key in enumerate(zip(d_target.table, c_target.table)):
-        v = pins.get(x)
-        if v is None:
-            allowed.append(over.get(key, ()))
-        else:
-            allowed.append((v,) if (d.table[v], c.table[v]) == key else ())
+    allowed: list[Sequence[int]] = list(map(
+        over.get, zip(d_target.table, c_target.table), repeat(())))
+    for x, v in pins.items():
+        key = (d_target.table[x], c_target.table[x])
+        allowed[x] = (v,) if (d.table[v], c.table[v]) == key else ()
     lens = list(map(len, allowed))
     count = prod(size ** lens.count(size) for size in set(lens))
     if count == 0:

@@ -224,11 +224,10 @@ def _kpc_generic(span: Span, first: FinMap, second: FinMap, swapped: bool) -> Kp
     # joined on y, with e1 (x, y) = (x, y, y) and e2 (y, z) = (y, y, z).
     kf, ks = kernel_pair(first), kernel_pair(second)
     lp = local_product(SplitCospan(kf.p2, kf.diagonal, ks.p1, ks.diagonal))
-    triples = tuple([kf.pairs[i] + (ks.pairs[j][1],)
-                     for i, j in lp.element_labels])
     proj_x = compose(kf.p1, lp.p1)
     proj_y = compose(kf.p2, lp.p1)
     proj_z = compose(ks.p2, lp.p2)
+    triples = tuple(zip(proj_x.table, proj_y.table, proj_z.table))
     delta = compose(lp.e1, kf.diagonal)
     dom, cod = (proj_z, proj_x) if swapped else (proj_x, proj_z)
     graph = ReflexiveGraph(dom, cod, delta)

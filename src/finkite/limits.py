@@ -7,12 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from operator import add
 from typing import Optional
 
 from .errors import CompatibilityViolation, DomainMismatch, InvalidSplitting
-from .finmaps import (FinMap, SolveResult, compose, fibres, first_mismatch,
-                      identity, index_of, jointly_monic, pairing_is_injective,
-                      solve_cross)
+from .finmaps import (FinMap, SolveResult, _gather, compose, fibres,
+                      first_mismatch, identity, index_of, jointly_monic,
+                      pairing_is_injective, solve_cross)
 from .report import Report, fails, holds
 
 
@@ -68,9 +69,9 @@ class SplitCospan:
         if self.s.dom != self.g.cod or self.s.cod != self.g.dom:
             raise DomainMismatch("s must go B -> C")
         one = tuple(range(self.f.cod))
-        if tuple(map(self.f.table.__getitem__, self.r.table)) != one:
+        if _gather(self.r.table)(self.f.table) != one:
             raise InvalidSplitting("f r is not the identity on B")
-        if tuple(map(self.g.table.__getitem__, self.s.table)) != one:
+        if _gather(self.s.table)(self.g.table) != one:
             raise InvalidSplitting("g s is not the identity on B")
 
     @property
@@ -102,17 +103,22 @@ class LocalProduct:
 def local_product(sc: SplitCospan) -> LocalProduct:
     """A x_B C with its injections e1 = <1, sf> and e2 = <rg, 1>; every
     labelled local product in finkite (composable pairs, kpc triples,
-    admissibility apexes) is built here."""
+    admissibility apexes) is built here.  Each injection is one sum of
+    two tables, each gathered through f or g and a section."""
     pb, over = _pullback(sc.g, sc.f)
     # (a, c) sits at start[a] + rank[c]: a's labels begin at start[a],
     # and c is point rank[c] of its g-fibre (g is split, so f(a) has one).
-    start = list(accumulate([len(over[b]) for b in sc.f.table], initial=0))
-    rank = {c: i for cs in over.values() for i, c in enumerate(cs)}
-    s, r = sc.s.table, sc.r.table
-    e1 = FinMap._derived(sc.A, pb.size, tuple(
-        [start[a] + rank[s[b]] for a, b in enumerate(sc.f.table)]))
-    e2 = FinMap._derived(sc.C, pb.size, tuple(
-        [start[r[b]] + rank[c] for c, b in enumerate(sc.g.table)]))
+    f, g = sc.f.table, sc.g.table
+    start = list(accumulate(_gather(f)([len(over[b]) for b in range(sc.B)]),
+                            initial=0))
+    rank = [0] * sc.C
+    for cs in over.values():
+        for i, c in enumerate(cs):
+            rank[c] = i
+    e1 = FinMap._derived(sc.A, pb.size, tuple(map(
+        add, start, _gather(_gather(f)(sc.s.table))(rank))))
+    e2 = FinMap._derived(sc.C, pb.size, tuple(map(
+        add, _gather(_gather(g)(sc.r.table))(start), rank)))
     return LocalProduct(pb.size, pb.labels, pb.p1, pb.p2, e1, e2, sc)
 
 

@@ -110,6 +110,25 @@ def test_maltsev_table_laws_on_cyclic_groups():
             assert data.p(n, a, b, c) == (a - b + c) % n
 
 
+def test_maltsev_table_fetches_its_operation_once(monkeypatch):
+    """One binary_op call per maltsev_table, whether the hom law holds
+    (Z_4) or fails (a non-medial commutative quasigroup on 5 points)."""
+    calls = []
+
+    def counting(A):
+        calls.append(A.size)
+        return binary_op(A)
+
+    monkeypatch.setattr(algebra, "binary_op", counting)
+    latin = (0, 2, 1, 4, 3, 2, 1, 4, 3, 0, 1, 4, 3, 0, 2,
+             4, 3, 0, 2, 1, 3, 0, 2, 1, 4)
+    for A, hom in ((cyclic_magma(4), True),
+                   (OpAlgebra(5, (Operation("*", 2, latin),), "magma"), False)):
+        calls.clear()
+        assert maltsev_table(A).hom_law.ok is hom
+        assert calls == [A.size]
+
+
 def test_naturality_of_p():
     z4, z2 = cyclic_magma(4), cyclic_magma(2)
     h = tuple(x % 2 for x in range(4))
@@ -930,8 +949,8 @@ def hom_law_failures(A):
 
 def test_first_hom_law_failure_has_the_lesser_triple_first():
     """* being commutative, the law at (t, t2) is the law at (t2, t): the
-    failing pairs come in mirror pairs, so the full scan first fails at
-    some t <= t2, and the half scan of maltsev_table reads only those."""
+    failing pairs come in mirror pairs, so the full scan's first failure
+    (t, t2) has t <= t2."""
     seen = 0
     for A in mirror_fact_magmas():
         w = first_hom_law_failure(A)

@@ -316,3 +316,49 @@ def test_solve_cross_edge_cases_match_the_pointwise_oracle():
         assert_solve_cross_matches_oracle(
             (FinMap(1, 1, (0,)), FinMap(1, 2, (1,)), FinMap(0, 1, ()),
              FinMap(0, 2, ()), FinMap(2, 2, (0, 1)), two, one, one, cap))
+
+
+def comprehension_gather(idx, t):
+    return tuple(t[i] for i in idx)
+
+
+@given(st.lists(st.integers(0, 4), max_size=4),
+       st.lists(st.integers(-6, 6), max_size=6), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_gather_matches_the_comprehension(entries, idx, as_list):
+    """_gather(idx)(t) is the comprehension's tuple, over tuples and
+    lists, for index tuples of length 0 to 6 with repeats; an index out
+    of range raises IndexError exactly where the comprehension does."""
+    t = list(entries) if as_list else tuple(entries)
+    read = finmaps._gather(tuple(idx))
+    try:
+        want = comprehension_gather(idx, t)
+    except IndexError:
+        with pytest.raises(IndexError):
+            read(t)
+        return
+    got = read(t)
+    assert type(got) is tuple and got == want
+
+
+def dict_scan_witness(p1, p2):
+    """pairing_is_injective's witness by the dict scan alone: the first
+    x whose pair repeats, with the first x' that had it."""
+    seen = {}
+    for x in range(p1.dom):
+        key = (p1.table[x], p2.table[x])
+        if key in seen:
+            return (seen[key], x)
+        seen[key] = x
+    return None
+
+
+@given(st.integers(0, 9), st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=400, deadline=None)
+def test_pairing_is_injective_names_the_dict_scan_witness(dom, n1, n2, data):
+    """Codomains of 1 to 3 points make clashes common; the set test
+    accepts exactly the injective pairings and a clash keeps the dict
+    scan's witness."""
+    p1, p2 = (FinMap(dom, n, tuple(data.draw(st.lists(
+        st.integers(0, n - 1), min_size=dom, max_size=dom)))) for n in (n1, n2))
+    assert finmaps.pairing_is_injective(p1, p2) == dict_scan_witness(p1, p2)

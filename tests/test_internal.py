@@ -443,3 +443,14 @@ def test_category_check_matches_nested_loop_on_unital_magmas():
             assert rep.ok == (witness is None)
             if witness is not None:
                 assert rep.witness["element"] == witness
+
+
+@given(spans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_kpc_triples_concatenate_the_local_product_labels(span, swapped):
+    """Each triple, zipped from the three projections, is the pair of
+    the first kernel pair joined with the last point of the second, read
+    off the local-product label (i, j) that the triple sits at."""
+    k = (kpc_swapped if swapped else kpc)(span)
+    assert k.triples == tuple(k.pairs_first[i] + (k.pairs_second[j][1],)
+                              for i, j in k.lp.element_labels)

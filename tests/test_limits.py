@@ -461,3 +461,31 @@ def test_round_trip_follows_from_conditions_1_to_4_on_every_small_diagram():
                 failed += 1
                 assert res.report.witness["condition"] in (2, 3, 4)
     assert (passed, failed) == (110, 2837)
+
+
+@given(split_cospans(min_b=0), st.data())
+@settings(max_examples=300, deadline=None)
+def test_split_cospan_raises_the_composite_texts_at_every_b(sc, data):
+    """Split cospans at B = 0, 1 and more, with at most one entry of f,
+    r, g or s redrawn: the cospan builds iff f r and g s are identities
+    by the per-entry comprehension, and otherwise raises the same text,
+    f r's first."""
+    legs = [sc.f, sc.r, sc.g, sc.s]
+    k = data.draw(st.integers(0, 4))
+    if k < 4 and legs[k].dom:
+        m = legs[k]
+        table = list(m.table)
+        table[data.draw(st.integers(0, m.dom - 1))] = data.draw(
+            st.integers(0, m.cod - 1))
+        legs[k] = FinMap(m.dom, m.cod, tuple(table))
+    f, r, g, s = legs
+    if [f.table[x] for x in r.table] != list(range(sc.B)):
+        want = "f r is not the identity on B"
+    elif [g.table[x] for x in s.table] != list(range(sc.B)):
+        want = "g s is not the identity on B"
+    else:
+        assert SplitCospan(f, r, g, s).B == sc.B
+        return
+    with pytest.raises(InvalidSplitting) as err:
+        SplitCospan(f, r, g, s)
+    assert str(err.value) == want
