@@ -7,7 +7,6 @@ the admissibility search propagates through per-element watch lists.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, groupby, product
@@ -608,12 +607,6 @@ def _pairs(codes, n: int) -> tuple[tuple[int, int], ...]:
     return tuple([divmod(v, n) for v in codes])
 
 
-def _holds(codes, v: int) -> bool:
-    """Whether the sorted codes hold v."""
-    i = bisect_left(codes, v)
-    return i < len(codes) and codes[i] == v
-
-
 def _close(A: OpAlgebra, C: OpAlgebra, closed, new,
            cap: int) -> tuple[int, ...]:
     """The closure in A x C of closed | new, `closed` being closed, with
@@ -657,14 +650,13 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
     R u P(q), P(q) being the principal relation closure(diagonal u {q}),
     so within one R a single closure per distinct P(q) is enough (after
     Freese, "Computing congruences efficiently", 2008); on the closure
-    of the diagonal, the diagonal itself, it is P(q).  Swapping
+    of the diagonal, the diagonal itself, it is P(q), and past it each
+    R v P(q) with a P(q) new to R is closed.  Swapping
     coordinates is an automorphism of A x A fixing the diagonal, so
     P(y, x) is P(x, y) transposed and one of each pair is closed.  Every
     candidate q still counts one unit of the budget, and a transposed
     P(q) is as large as one already within the cap, so the enumeration
-    stops where and as it did.  Past the base, a q in an earlier join
-    S = R v P(q0) of R with q0 in P(q) has R v P(q) = S, so that join,
-    still counted, is not closed.  Raises BudgetExceeded, with the
+    stops where and as it did.  Raises BudgetExceeded, with the
     relations found so far as its partial, when more than `budget`
     candidates would be needed or a closure grows past SUBALGEBRA_CAP
     pairs; a negative budget is IllTyped.  Relations are held as sorted
@@ -684,7 +676,6 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
             rel = frontier.pop()
             have = set(rel)
             done = set()          # the P(q) already joined to rel
-            joins = []            # (q0, rel v P(q0)) closed so far
             for q in all_pairs:
                 if q in have:
                     continue
@@ -703,14 +694,8 @@ def reflexive_relations(A: OpAlgebra, budget: int = 10000) -> tuple[BinaryRelati
                 if p in done:
                     continue
                 done.add(p)
-                # q in S = rel v P(q0) puts P(q) in S, and q0 in P(q) puts
-                # P(q0) in rel v P(q): so rel v P(q) = S
-                bigger = p if rel is base else next(
-                    (s for q0, s in joins if _holds(s, q) and _holds(p, q0)),
-                    None)
-                if bigger is None:
-                    bigger = _close(A, A, have, p, SUBALGEBRA_CAP)
-                    joins.append((q, bigger))
+                bigger = p if rel is base else _close(A, A, have, p,
+                                                      SUBALGEBRA_CAP)
                 if bigger not in found:
                     found[bigger] = BinaryRelation(A, _pairs(bigger, n))
                     frontier.append(bigger)
@@ -833,26 +818,23 @@ class _AdmissibilityFrame:
 
 
 def _admissibility_frame(A: OpAlgebra, C: OpAlgebra, D: OpAlgebra, f, r, g,
-                         s, shapes: dict) -> _AdmissibilityFrame:
+                         s) -> _AdmissibilityFrame:
     """The frame of the kites over A, C and D with these f, r, g and s.
-    The argument tuples and watch lists depend only on (|E|, arity), so
-    they are taken from `shapes` when there and stored there when not;
-    nothing changes them once built."""
+    Each operation's argument tuples and watch lists are built here, once
+    per frame; a witness search builds a frame only for a leg pair whose
+    cross falls short of E, and then shares it among its four kites."""
     lp = _local_product(A, C, f, r, g, s)
     E = _product_subalgebra(A, C, lp.element_labels)
     laws = []
     # E's operations are A's, in order, and alpha: A -> D is a
     # homomorphism, so D's operations pair with them by position
     for op, op_d in zip(E.ops, D.ops):   # nullary ops watch nothing
-        shape = shapes.get((E.size, op.arity))
-        if shape is None:
-            args = list(product(range(E.size), repeat=op.arity))
-            watch = [[] for _ in range(E.size)]
-            for i, xs in enumerate(args):
-                for x in xs:
-                    watch[x].append(i)
-            shape = shapes[E.size, op.arity] = (args, watch)
-        laws.append((op.table, op_d.table) + shape)
+        args = list(product(range(E.size), repeat=op.arity))
+        watch = [[] for _ in range(E.size)]
+        for i, xs in enumerate(args):
+            for x in xs:
+                watch[x].append(i)
+        laws.append((op.table, op_d.table, args, watch))
     return _AdmissibilityFrame(lp.element_labels, lp.e1.table, lp.e2.table,
                                D.size, laws)
 
@@ -866,8 +848,7 @@ def admissibility_count_variety(vk: VarietyKite,
     A negative cap is IllTyped."""
     if cap < 0:
         raise IllTyped(f"cap must be >= 0, got {cap}")
-    frame = _admissibility_frame(vk.A, vk.C, vk.D, vk.f, vk.r, vk.g, vk.s,
-                                 {})
+    frame = _admissibility_frame(vk.A, vk.C, vk.D, vk.f, vk.r, vk.g, vk.s)
     return _pinned_count(frame, vk.alpha, vk.gamma, cap)
 
 
@@ -993,7 +974,6 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
         complete = False
     side = cache(lambda i: _relation_side(D, rels[i].pairs))
     ident = tuple(range(D.size))
-    shapes: dict = {}         # (|E|, arity) -> argument tuples, watch lists
     family, examined = 16 * len(rels) ** 2, 0
     for ia, ic, fa, gc in product(range(len(rels)), range(len(rels)),
                                   (0, 1), (0, 1)):
@@ -1012,7 +992,7 @@ def _witness_search(D: OpAlgebra, budget: int) -> _WitnessSearch:
                 if skip:
                     continue
                 frame = _admissibility_frame(A, C, D, legs[0], diag_a,
-                                             legs[3], diag_c, shapes)
+                                             legs[3], diag_c)
             if _pinned_count(frame, legs[4], legs[6], 2).count >= 2:
                 return _WitnessSearch(VarietyKite(A, D, C, D, *legs),
                                       examined, family, complete)

@@ -283,22 +283,20 @@ def validate_pregroupoid(pg: Pregroupoid) -> Report:
 
 
 def pregroupoid_associative(pg: Pregroupoid) -> Report:
-    """p(p(x,y,z),u,v) = p(x,y,p(z,u,v)) over all admissible quintuples."""
+    """p(p(x,y,z),u,v) = p(x,y,p(z,u,v)) over all admissible quintuples:
+    u in the d-fibre of d(z), v in the c-fibre of c(u), each ascending,
+    so the work is the number of quintuples."""
     rep = validate_pregroupoid(pg)
     if not rep.ok:
         return rep
     span, k, p = pg.span, pg.k, pg.p.table
     t_index = index_of(k.triples)
-    D = span.D
     d, c = span.d.table, span.c.table
-    for (x, y, z) in k.triples:
-        for u in range(D):
-            if d[z] != d[u]:
-                continue
-            for v in range(D):
-                if c[u] != c[v]:
-                    continue
-                left = p[t_index[(p[t_index[(x, y, z)]], u, v)]]
+    d_over, c_over = fibres(d), fibres(c)
+    for (x, y, z), w in zip(k.triples, p):
+        for u in d_over[d[z]]:
+            for v in c_over[c[u]]:
+                left = p[t_index[(w, u, v)]]
                 right = p[t_index[(x, y, p[t_index[(z, u, v)]])]]
                 if left != right:
                     return fails("validate",

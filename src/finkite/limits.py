@@ -187,11 +187,14 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
                                   e1: FinMap, e2: FinMap) -> IntrinsicCheck:
     """Decide whether (p1, p2, e1, e2) is a local product, intrinsically.
 
-    Verifies the four conditions (identities on sections, commuting
-    idempotents, joint monicity, and the one-point universal property,
-    which suffices over finite sets), then rebuilds the split cospan
-    from the pullback of e1 along e2, with the relabelling of the input
-    onto the rebuilt local product.
+    Verifies conditions 1-3 (identities on sections, commuting
+    idempotents, joint monicity), then rebuilds the split cospan from the
+    pullback of e1 along e2 and its local product.  Conditions 1-3 make
+    the rebuild a split cospan and send x -> (p1 x, p2 x) injectively
+    into its labels, the compatible pairs; so condition 4, the one-point
+    universal property, which suffices over finite sets, holds iff the
+    rebuilt product is as large as E.  That map is then the relabelling
+    of the input onto the rebuilt local product.
     """
     cmd = "lp-check"
     E, A, C = p1.dom, p1.cod, p2.cod
@@ -201,47 +204,42 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
                                     p1, p2, e1, e2)
     if rep is not None:
         return IntrinsicCheck(rep, None, None, None)
-    details = ["condition 1 holds: p1 e1 = 1_A, p2 e2 = 1_C",
-               "condition 2 holds: the idempotents e1p1 and e2p2 commute",
-               "condition 3 holds: (p1, p2) jointly monic"]
-
-    # Condition 4 on one-point stages: each compatible pair (a, c) must be
-    # hit by some element of E (uniqueness already follows from 3).  The
-    # compatible pairs are joined on their common key, a then c ascending.
-    hit = set(zip(p1.table, p2.table))
-    p1e2, p2e1 = compose(p1, e2), compose(p2, e1)
-    p1e2p2e1 = compose(p1e2, p2e1)
-    p2e1p1e2 = compose(p2e1, p1e2)
-    over = fibres(zip(p1e2.table, p2e1p1e2.table))
-    for a, key in enumerate(zip(p1e2p2e1.table, p2e1.table)):
-        for c in over.get(key, ()):
-            if (a, c) not in hit:
-                return IntrinsicCheck(
-                    fails(cmd, {"condition": 4, "pair": [a, c]},
-                          ["a compatible pair is not reached by E"]),
-                    None, None, None)
-    details.append("condition 4 holds on one-point stages")
 
     # Reconstruction per the sufficiency argument: B is the pullback of the
     # split mono e1 along the split mono e2, f and g the displayed pairings.
+    p1e2, p2e1 = compose(p1, e2), compose(p2, e1)
     pb = pullback(e2, e1)
     b_index = index_of(pb.labels)
-    nB, r, s = pb.size, pb.p1, pb.p2
-    f = FinMap._derived(A, nB, tuple(
-        b_index[(p1e2p2e1.table[a], p2e1.table[a])] for a in range(A)))
-    g = FinMap._derived(C, nB, tuple(
-        b_index[(p1e2.table[c], p2e1p1e2.table[c])] for c in range(C)))
-    cospan = SplitCospan(f, r, g, s)
+    f = FinMap._derived(A, pb.size, tuple(map(b_index.__getitem__, zip(
+        compose(p1e2, p2e1).table, p2e1.table))))
+    g = FinMap._derived(C, pb.size, tuple(map(b_index.__getitem__, zip(
+        p1e2.table, compose(p2e1, p1e2).table))))
+    cospan = SplitCospan(f, pb.p1, g, pb.p2)
     lp = local_product(cospan)
 
-    # The round trip holds by conditions 1-4: x -> (p1 x, p2 x) lands in
-    # the rebuilt labels (1, 2), is injective (3) and onto (4), so it is
-    # a relabelling with lp.p_i relabel = p_i and relabel e_i = lp.e_i.
+    # Condition 4 on one-point stages: each compatible pair (a, c) must be
+    # hit by some element of E (uniqueness already follows from 3).  The
+    # first one missed is the least label of the rebuilt product, a then c
+    # ascending, that no x reaches.
+    if lp.E != E:
+        hit = set(zip(p1.table, p2.table))
+        a, c = next(lab for lab in lp.element_labels if lab not in hit)
+        return IntrinsicCheck(
+            fails(cmd, {"condition": 4, "pair": [a, c]},
+                  ["a compatible pair is not reached by E"]),
+            None, None, None)
+    # x -> (p1 x, p2 x) is now a bijection onto the rebuilt labels: a
+    # relabelling with lp.p_i relabel = p_i and relabel e_i = lp.e_i.
     lp_index = index_of(lp.element_labels)
     relabel = FinMap._derived(E, lp.E, tuple(
         lp_index[lab] for lab in zip(p1.table, p2.table)))
-    details.append("round trip: regenerated local product matches input")
-    return IntrinsicCheck(holds(cmd, details), cospan, lp, relabel)
+    return IntrinsicCheck(holds(cmd, [
+        "condition 1 holds: p1 e1 = 1_A, p2 e2 = 1_C",
+        "condition 2 holds: the idempotents e1p1 and e2p2 commute",
+        "condition 3 holds: (p1, p2) jointly monic",
+        "condition 4 holds on one-point stages",
+        "round trip: regenerated local product matches input"]),
+        cospan, lp, relabel)
 
 
 @dataclass(frozen=True)

@@ -454,3 +454,124 @@ def test_kpc_triples_concatenate_the_local_product_labels(span, swapped):
     k = (kpc_swapped if swapped else kpc)(span)
     assert k.triples == tuple(k.pairs_first[i] + (k.pairs_second[j][1],)
                               for i, j in k.lp.element_labels)
+
+
+def nested_pregroupoid_witness(pg):
+    """The witness of the first pregroupoid equation that p breaks, or
+    None, by the plain loops: the unit laws, then d p(x,y,z) = d(z) and
+    c p(x,y,z) = c(x) per triple, then associativity over every (u, v)
+    in D x D, skipping those outside the d-fibre of d(z) and the c-fibre
+    of c(u)."""
+    d, c, p = pg.span.d.table, pg.span.c.table, pg.p.table
+    triples = pg.k.triples
+    at = {t: i for i, t in enumerate(triples)}
+    for i, (x, y, z) in enumerate(triples):
+        if y == z and p[i] != x:
+            return {"equation": "p(x,y,y) = x", "element": [x, y, z]}
+        if x == y and p[i] != z:
+            return {"equation": "p(y,y,z) = z", "element": [x, y, z]}
+    for i, (x, y, z) in enumerate(triples):
+        if d[p[i]] != d[z]:
+            return {"equation": "d p(x,y,z) = d(z)", "element": [x, y, z]}
+        if c[p[i]] != c[x]:
+            return {"equation": "c p(x,y,z) = c(x)", "element": [x, y, z]}
+    for (x, y, z) in triples:
+        for u in range(pg.span.D):
+            if d[z] != d[u]:
+                continue
+            for v in range(pg.span.D):
+                if c[u] != c[v]:
+                    continue
+                if p[at[(p[at[(x, y, z)]], u, v)]] != \
+                        p[at[(x, y, p[at[(z, u, v)]])]]:
+                    return {"equation": "p(p(x,y,z),u,v) = p(x,y,p(z,u,v))",
+                            "element": [x, y, z, u, v]}
+    return None
+
+
+def assert_pregroupoid_matches_nested_loops(pg):
+    rep = pregroupoid_associative(pg)
+    want = nested_pregroupoid_witness(pg)
+    assert rep.ok == (want is None)
+    assert rep.witness == want
+
+
+@pytest.fixture
+def square_span():
+    """D = 2 x 2 coded 2a + b, with d and c the two projections: every
+    triple (x, y, z) has p(x, y, z) = (first of z, second of x)."""
+    return Span(FinMap(4, 2, (0, 0, 1, 1)), FinMap(4, 2, (0, 1, 0, 1)))
+
+
+@pytest.mark.parametrize("triple, value, equation", [
+    ((0, 0, 2), 0, "p(y,y,z) = z"),
+    ((0, 1, 3), 0, "d p(x,y,z) = d(z)"),
+    ((0, 1, 3), 3, "c p(x,y,z) = c(x)")])
+def test_pregroupoid_validation_names_each_failing_equation(
+        square_span, triple, value, equation):
+    k = kpc(square_span)
+    table = [2 * (z // 2) + x % 2 for (x, y, z) in k.triples]
+    assert_pregroupoid_matches_nested_loops(
+        Pregroupoid(square_span, FinMap(k.size, 4, tuple(table))))
+    table[k.triples.index(triple)] = value
+    pg = Pregroupoid(square_span, FinMap(k.size, 4, tuple(table)))
+    rep = validate_pregroupoid(pg)
+    assert rep.witness == {"equation": equation, "element": list(triple)}
+    assert pregroupoid_associative(pg) == rep
+    assert_pregroupoid_matches_nested_loops(pg)
+
+
+@pytest.mark.parametrize("d, c, table, element", [
+    ((0, 0, 0), (0, 0, 0),
+     tuple(x if y == z else z if x == y else 0
+           for x, y, z in product(range(3), repeat=3)), [0, 1, 0, 0, 1]),
+    ((2, 0, 0), (1, 0, 0), (0, 1, 2, 1, 1, 2, 1, 1, 2), [1, 2, 1, 1, 2])],
+    ids=["constant", "fibred"])
+def test_pregroupoid_associativity_names_the_first_failing_quintuple(
+        d, c, table, element):
+    """A valid p that is not associative, on constant legs and on legs
+    whose fibres leave points out of the (u, v) scan."""
+    span = Span(FinMap(3, 3, d), FinMap(3, 3, c))
+    pg = Pregroupoid(span, FinMap(kpc(span).size, 3, table))
+    assert validate_pregroupoid(pg).ok
+    rep = pregroupoid_associative(pg)
+    assert rep.witness == {"equation": "p(p(x,y,z),u,v) = p(x,y,p(z,u,v))",
+                           "element": element}
+    assert_pregroupoid_matches_nested_loops(pg)
+
+
+@given(spans(max_apex=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pregroupoid_associativity_matches_nested_loops(span, data):
+    """p drawn per triple among the values the equations allow (any
+    value where none does), then at most one entry redrawn freely."""
+    k, D = kpc(span), span.D
+    d, c = span.d.table, span.c.table
+    table = []
+    for x, y, z in k.triples:
+        allowed = ([x] if y == z else [z] if x == y else
+                   [w for w in range(D) if d[w] == d[z] and c[w] == c[x]])
+        table.append(data.draw(st.sampled_from(allowed or range(D))))
+    if table and data.draw(st.booleans()):
+        table[data.draw(st.integers(0, len(table) - 1))] = \
+            data.draw(st.integers(0, D - 1))
+    assert_pregroupoid_matches_nested_loops(
+        Pregroupoid(span, FinMap(k.size, D, tuple(table))))
+
+
+def test_compat_check_names_the_first_mismatched_label():
+    """Under the identity morphism, compat compares m with m' entry by
+    entry and names the local-product label of the first difference."""
+    from finkite.kitecond import assemble_kite, solve_m
+    dk = kite_from_span(group_pair_span(2))
+    kd, lp = assemble_kite(dk)
+    h = DirectedKiteMorphism(dk, dk, identity(dk.f.dom), identity(dk.f.cod),
+                             identity(dk.g.dom), identity(dk.alpha.cod),
+                             identity(dk.d.cod), identity(dk.c.cod))
+    m = solve_m(kd).solutions[0]
+    for w in (0, lp.E - 1):
+        table = list(m.table)
+        table[w] = (table[w] + 1) % m.cod
+        rep = compat_check(h, m, FinMap(m.dom, m.cod, tuple(table)))
+        assert not rep.ok
+        assert rep.witness == {"element": list(lp.element_labels[w])}

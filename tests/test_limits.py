@@ -110,6 +110,26 @@ def test_intrinsic_check_detects_broken_injection():
     assert res.report.witness["condition"] == 2
 
 
+def test_intrinsic_check_joins_the_compatible_pairs_once(monkeypatch):
+    """On a diagram that holds, the compatible pairs are joined once, by
+    the rebuilt local product, whose pullbacks are the only fibre scans:
+    B's and A x_B C's."""
+    from finkite import limits
+    calls = []
+    fibres = limits.fibres
+
+    def counting(keys):
+        calls.append(1)
+        return fibres(keys)
+
+    bang = FinMap(3, 1, (0, 0, 0))
+    lp = local_product(SplitCospan(bang, FinMap(1, 3, (0,)), bang,
+                                   FinMap(1, 3, (2,))))
+    monkeypatch.setattr(limits, "fibres", counting)
+    res = check_local_product_intrinsic(lp.p1, lp.p2, lp.e1, lp.e2)
+    assert res.report.ok and len(calls) == 2
+
+
 def test_intrinsic_check_on_singletons():
     one = identity(1)
     res = check_local_product_intrinsic(one, one, one, one)
