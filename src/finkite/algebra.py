@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Optional
 from .errors import (BudgetExceeded, IllTyped, MissingOperation,
                      MultipleSolutions, NoSolution, NotAHomomorphism,
                      UnsupportedVariety)
-from .finmaps import FinMap, _gather, cross_pins, fibres, index_of
+from .finmaps import (FinMap, _first_out_of_range, _gather, cross_pins,
+                      fibres, index_of)
 from .limits import LocalProduct, SplitCospan, local_product
 from .report import Report, fails, holds
 
@@ -112,15 +113,10 @@ class OpAlgebra:
             mismatch = _table_length_error(size, op.arity, len(op.table))
             if mismatch is not None:
                 raise IllTyped(f"operation {op.symbol}: table {mismatch}")
-            # One tight pass accepts; only a rejected table is scanned
-            # again to name its first bad entry.
-            for v in op.table:
-                if not 0 <= v < size:
-                    i = next(i for i, u in enumerate(op.table)
-                             if not 0 <= u < size)
-                    raise IllTyped(f"operation {op.symbol}: entry "
-                                   f"{op.table[i]} at flat index {i} "
-                                   "out of range")
+            i = _first_out_of_range(op.table, size)
+            if i is not None:
+                raise IllTyped(f"operation {op.symbol}: entry "
+                               f"{op.table[i]} at flat index {i} out of range")
         _validate_variety_axioms(self)
 
     def apply(self, op: Operation, *args: int) -> int:

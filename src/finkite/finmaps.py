@@ -35,15 +35,10 @@ class FinMap:
         if len(self.table) != self.dom:
             raise IllTyped(
                 f"table length {len(self.table)} does not match dom {self.dom}")
-        # One tight pass accepts; only a rejected table is scanned again
-        # to name its first bad entry.
-        cod = self.cod
-        for v in self.table:
-            if not 0 <= v < cod:
-                j = next(j for j, u in enumerate(self.table)
-                         if not 0 <= u < cod)
-                raise IllTyped(f"table entry {self.table[j]} at index {j} "
-                               f"is out of range for cod {cod}")
+        j = _first_out_of_range(self.table, self.cod)
+        if j is not None:
+            raise IllTyped(f"table entry {self.table[j]} at index {j} "
+                           f"is out of range for cod {self.cod}")
 
     @classmethod
     def _derived(cls, dom: int, cod: int, table: tuple[int, ...]) -> FinMap:
@@ -57,6 +52,16 @@ class FinMap:
 
     def __call__(self, x: int) -> int:
         return self.table[x]
+
+
+def _first_out_of_range(table: Sequence[int], n: int) -> Optional[int]:
+    """The index of the first entry of table outside 0..n-1, or None.
+    One tight pass accepts; only a rejected table is scanned again to
+    find its first bad entry."""
+    for v in table:
+        if not 0 <= v < n:
+            return next(j for j, u in enumerate(table) if not 0 <= u < n)
+    return None
 
 
 def identity(n: int) -> FinMap:

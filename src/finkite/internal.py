@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainMismatch, IllTyped, NonCommutingSquare
-from .finmaps import (FinMap, compose, fibres, first_mismatch, identity,
-                      index_of, solve_cross)
-from .limits import LocalProduct, SplitCospan, kernel_pair, local_product
+from .finmaps import (FinMap, compose, first_mismatch, identity, index_of,
+                      pairing_is_injective, solve_cross)
+from .limits import (LocalProduct, SplitCospan, kernel_pair, local_product,
+                     pullback)
 from .report import Report, fails, holds
 
 
@@ -147,38 +148,33 @@ def validate_category(mg: MultiplicativeGraph) -> Report:
     index = index_of(labels)
     m = mg.m.table
     # Composable triples (x, y, z): the pairs (x, y) and (y, z) joined on y.
-    starting_at = fibres(mg.c2.pi1.table)
-    for i, (x, y) in enumerate(labels):
-        for j in starting_at.get(y, ()):
-            z = labels[j][1]
-            left = m[index[(x, m[j])]]
-            right = m[index[(m[i], z)]]
-            if left != right:
-                return fails("validate", {"equation": "m(1 x m) = m(m x 1)",
-                                          "element": [x, y, z]})
+    for i, j in pullback(mg.c2.pi1, mg.c2.pi2).labels:
+        (x, y), z = labels[i], labels[j][1]
+        if m[index[(x, m[j])]] != m[index[(m[i], z)]]:
+            return fails("validate", {"equation": "m(1 x m) = m(m x 1)",
+                                      "element": [x, y, z]})
     return holds("validate", ["associativity holds on composable triples"])
 
 
 def validate_groupoid(mg: MultiplicativeGraph) -> Report:
     """A category is a groupoid iff the comparison <m, pi2> from C2 to
     the kernel pair of d is a bijection (the relevant square is then a
-    pullback)."""
+    pullback).  It lands there, as d m = d pi2, so it is a bijection iff
+    it is injective and C2 is as large as the kernel pair."""
     rep = validate_category(mg)
     if not rep.ok:
         return rep
+    labels, pi2 = mg.c2.labels, mg.c2.pi2
+    clash = pairing_is_injective(mg.m, pi2)
+    if clash is not None:
+        return fails("validate", {"equation": "<m, pi2> is not injective",
+                                  "element": [list(labels[i]) for i in clash]})
     kp = kernel_pair(mg.rg.d)
-    kp_index = index_of(kp.pairs)
-    seen: dict[int, tuple[int, int]] = {}
-    for i, (x, y) in enumerate(mg.c2.labels):
-        key = kp_index[(mg.m.table[i], y)]
-        if key in seen:
-            return fails("validate", {"equation": "<m, pi2> is not injective",
-                                      "element": [list(seen[key]), [x, y]]})
-        seen[key] = (x, y)
-    if len(seen) != kp.size:
-        miss = next(i for i in range(kp.size) if i not in seen)
+    if mg.c2.size != kp.size:
+        hit = set(zip(mg.m.table, pi2.table))
+        miss = next(pair for pair in kp.pairs if pair not in hit)
         return fails("validate", {"equation": "<m, pi2> is not surjective",
-                                  "element": list(kp.pairs[miss])})
+                                  "element": list(miss)})
     return holds("validate", ["<m, pi2> is a bijection onto the kernel pair of d"])
 
 
@@ -284,24 +280,23 @@ def validate_pregroupoid(pg: Pregroupoid) -> Report:
 
 def pregroupoid_associative(pg: Pregroupoid) -> Report:
     """p(p(x,y,z),u,v) = p(x,y,p(z,u,v)) over all admissible quintuples:
-    u in the d-fibre of d(z), v in the c-fibre of c(u), each ascending,
-    so the work is the number of quintuples."""
+    the triples joined on d(z) = d(u) with the kernel pair (u, v) of c,
+    lex ordered, so the work is the number of quintuples."""
     rep = validate_pregroupoid(pg)
     if not rep.ok:
         return rep
-    span, k, p = pg.span, pg.k, pg.p.table
+    k, p = pg.k, pg.p.table
     t_index = index_of(k.triples)
-    d, c = span.d.table, span.c.table
-    d_over, c_over = fibres(d), fibres(c)
-    for (x, y, z), w in zip(k.triples, p):
-        for u in d_over[d[z]]:
-            for v in c_over[c[u]]:
-                left = p[t_index[(w, u, v)]]
-                right = p[t_index[(x, y, p[t_index[(z, u, v)]])]]
-                if left != right:
-                    return fails("validate",
-                                 {"equation": "p(p(x,y,z),u,v) = p(x,y,p(z,u,v))",
-                                  "element": [x, y, z, u, v]})
+    # k.c1 and k.pairs_second are the kernel pair of c.
+    d = pg.span.d
+    for i, j in pullback(compose(d, k.c1), compose(d, k.cod)).labels:
+        (x, y, z), (u, v) = k.triples[i], k.pairs_second[j]
+        left = p[t_index[(p[i], u, v)]]
+        right = p[t_index[(x, y, p[t_index[(z, u, v)]])]]
+        if left != right:
+            return fails("validate",
+                         {"equation": "p(p(x,y,z),u,v) = p(x,y,p(z,u,v))",
+                          "element": [x, y, z, u, v]})
     return holds("validate", ["pregroupoid is associative"])
 
 

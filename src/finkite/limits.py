@@ -12,7 +12,7 @@ from typing import Optional
 
 from .errors import CompatibilityViolation, DomainMismatch, InvalidSplitting
 from .finmaps import (FinMap, SolveResult, _gather, compose, fibres,
-                      first_mismatch, identity, index_of, jointly_monic,
+                      first_mismatch, identity, jointly_monic,
                       pairing_is_injective, solve_cross)
 from .report import Report, fails, holds
 
@@ -105,9 +105,15 @@ def local_product(sc: SplitCospan) -> LocalProduct:
     labelled local product in finkite (composable pairs, kpc triples,
     admissibility apexes) is built here.  Each injection is one sum of
     two tables, each gathered through f or g and a section."""
-    pb, over = _pullback(sc.g, sc.f)
-    # (a, c) sits at start[a] + rank[c]: a's labels begin at start[a],
-    # and c is point rank[c] of its g-fibre (g is split, so f(a) has one).
+    return _placed(sc, *_pullback(sc.g, sc.f))[0]
+
+
+def _placed(sc: SplitCospan, pb: Pullback, over: dict[int, list[int]]
+            ) -> tuple[LocalProduct, list[int], list[int]]:
+    """The local product on its join pb = pullback(g, f), whose g-fibres
+    are over, with the offsets that place (a, c) at start[a] + rank[c]:
+    a's labels begin at start[a], and c is point rank[c] of its g-fibre
+    (g is split, so f(a) has one)."""
     f, g = sc.f.table, sc.g.table
     start = list(accumulate(_gather(f)([len(over[b]) for b in range(sc.B)]),
                             initial=0))
@@ -119,7 +125,8 @@ def local_product(sc: SplitCospan) -> LocalProduct:
         add, start, _gather(_gather(f)(sc.s.table))(rank))))
     e2 = FinMap._derived(sc.C, pb.size, tuple(map(
         add, _gather(_gather(g)(sc.r.table))(start), rank)))
-    return LocalProduct(pb.size, pb.labels, pb.p1, pb.p2, e1, e2, sc)
+    return LocalProduct(pb.size, pb.labels, pb.p1, pb.p2, e1, e2, sc), \
+        start, rank
 
 
 def kernel_pair(h: FinMap):
@@ -189,12 +196,12 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
 
     Verifies conditions 1-3 (identities on sections, commuting
     idempotents, joint monicity), then rebuilds the split cospan from the
-    pullback of e1 along e2 and its local product.  Conditions 1-3 make
-    the rebuild a split cospan and send x -> (p1 x, p2 x) injectively
-    into its labels, the compatible pairs; so condition 4, the one-point
+    pullback of e1 along e2 and joins it.  Conditions 1-3 make the
+    rebuild a split cospan and send x -> (p1 x, p2 x) injectively into
+    the join, the compatible pairs; so condition 4, the one-point
     universal property, which suffices over finite sets, holds iff the
-    rebuilt product is as large as E.  That map is then the relabelling
-    of the input onto the rebuilt local product.
+    join is as large as E.  Only then is the local product placed, and
+    that map, read off its offsets, is the relabelling of the input.
     """
     cmd = "lp-check"
     E, A, C = p1.dom, p1.cod, p2.cod
@@ -207,32 +214,33 @@ def check_local_product_intrinsic(p1: FinMap, p2: FinMap,
 
     # Reconstruction per the sufficiency argument: B is the pullback of the
     # split mono e1 along the split mono e2, f and g the displayed pairings.
+    # e2 is monic, so B's label (a, c) is fixed by a, at position at[a].
     p1e2, p2e1 = compose(p1, e2), compose(p2, e1)
     pb = pullback(e2, e1)
-    b_index = index_of(pb.labels)
-    f = FinMap._derived(A, pb.size, tuple(map(b_index.__getitem__, zip(
-        compose(p1e2, p2e1).table, p2e1.table))))
-    g = FinMap._derived(C, pb.size, tuple(map(b_index.__getitem__, zip(
-        p1e2.table, compose(p2e1, p1e2).table))))
+    at = [0] * A
+    for b, a in enumerate(pb.p1.table):
+        at[a] = b
+    f = FinMap._derived(A, pb.size, _gather(compose(p1e2, p2e1).table)(at))
+    g = FinMap._derived(C, pb.size, _gather(p1e2.table)(at))
     cospan = SplitCospan(f, pb.p1, g, pb.p2)
-    lp = local_product(cospan)
+    join, over = _pullback(g, f)
 
     # Condition 4 on one-point stages: each compatible pair (a, c) must be
-    # hit by some element of E (uniqueness already follows from 3).  The
-    # first one missed is the least label of the rebuilt product, a then c
-    # ascending, that no x reaches.
-    if lp.E != E:
+    # hit by some element of E (uniqueness already follows from 3), so it
+    # is decided by the join's size before anything is placed.  The first
+    # pair missed is the least label, a then c ascending, that no x reaches.
+    if join.size != E:
         hit = set(zip(p1.table, p2.table))
-        a, c = next(lab for lab in lp.element_labels if lab not in hit)
+        a, c = next(lab for lab in join.labels if lab not in hit)
         return IntrinsicCheck(
             fails(cmd, {"condition": 4, "pair": [a, c]},
                   ["a compatible pair is not reached by E"]),
             None, None, None)
-    # x -> (p1 x, p2 x) is now a bijection onto the rebuilt labels: a
-    # relabelling with lp.p_i relabel = p_i and relabel e_i = lp.e_i.
-    lp_index = index_of(lp.element_labels)
-    relabel = FinMap._derived(E, lp.E, tuple(
-        lp_index[lab] for lab in zip(p1.table, p2.table)))
+    # x -> (p1 x, p2 x) is now a bijection onto the rebuilt labels, at the
+    # offsets that placed them: lp.p_i relabel = p_i, relabel e_i = lp.e_i.
+    lp, start, rank = _placed(cospan, join, over)
+    relabel = FinMap._derived(E, lp.E, tuple(map(
+        add, _gather(p1.table)(start), _gather(p2.table)(rank))))
     return IntrinsicCheck(holds(cmd, [
         "condition 1 holds: p1 e1 = 1_A, p2 e2 = 1_C",
         "condition 2 holds: the idempotents e1p1 and e2p2 commute",
@@ -255,30 +263,22 @@ class Pushout:
 def pushout_split_mono(sc: SplitCospan) -> Pushout:
     """Pushout of the span (B, r, s) of sections of the split cospan:
     disjoint union of A and C glued along r(b) ~ s(b).  Classes are
-    labelled by their least representative, A-side first."""
-    r, s = sc.r, sc.s
-    nA, nC = sc.A, sc.C
-    parent = list(range(nA + nC))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for b in range(r.dom):
-        union(r.table[b], nA + s.table[b])
-    roots = sorted({find(x) for x in range(nA + nC)})
-    root_index = index_of(roots)
-    q1 = FinMap(nA, len(roots), tuple(root_index[find(a)] for a in range(nA)))
-    q2 = FinMap(nC, len(roots), tuple(root_index[find(nA + c)] for c in range(nC)))
-    labels = tuple(("A", root) if root < nA else ("C", root - nA) for root in roots)
-    return Pushout(len(roots), q1, q2, labels)
+    labelled by their least representative, A-side first.  f r = 1 and
+    g s = 1 make r and s monic, so each class is a pair {r b, s b} or a
+    single point: every a labels its own class, in order, and each c
+    outside s(B) follows as a class of its own."""
+    nA = sc.A
+    q2 = [-1] * sc.C
+    for c, a in zip(sc.s.table, sc.r.table):
+        q2[c] = a
+    rest = [c for c, k in enumerate(q2) if k < 0]
+    for k, c in enumerate(rest, nA):
+        q2[c] = k
+    size = nA + len(rest)
+    return Pushout(size, FinMap._derived(nA, size, tuple(range(nA))),
+                   FinMap._derived(sc.C, size, tuple(q2)),
+                   tuple([("A", a) for a in range(nA)] +
+                         [("C", c) for c in rest]))
 
 
 def local_coproduct_compare(lp: LocalProduct) -> Report:
