@@ -881,13 +881,13 @@ def assert_budget_sweep_matches_reference(A):
                                two_by_two_lattice(), chain_lattice(3),
                                chain_lattice(4)],
                          ids=["n5", "m3", "2x2", "chain3", "chain4"])
-def test_join_skipping_matches_the_reference_at_every_budget(A):
+def test_reflexive_relations_match_closing_every_join_at_every_budget(A):
     assert assert_budget_sweep_matches_reference(A) > 0
 
 
 @given(small_algebras())
 @settings(max_examples=60, deadline=None)
-def test_join_skipping_matches_the_reference_on_small_algebras(A):
+def test_reflexive_relations_match_closing_every_join_on_small_algebras(A):
     assert_budget_sweep_matches_reference(A)
 
 

@@ -9,7 +9,7 @@ from finkite.finmaps import FinMap, compose, identity, jointly_epic, jointly_mon
 from finkite.limits import (SplitCospan, check_local_product_intrinsic,
                             extremal_instance_check, kernel_pair,
                             local_coproduct_compare, local_product,
-                            pullback, pushout_split_mono)
+                            pullback)
 
 
 def random_split_cospan(rng, max_size=5):
@@ -46,6 +46,22 @@ def test_split_cospan_validation():
     with pytest.raises(InvalidSplitting):
         SplitCospan(FinMap(2, 2, (0, 0)), FinMap(2, 2, (0, 1)),
                     identity(2), identity(2))
+
+
+@pytest.mark.parametrize("legs, message", [
+    # g s is not the identity on f's B either, but the shapes are named first
+    ((identity(1), identity(1), identity(2), identity(2)),
+     "f and g must share their codomain B"),
+    # f r = 1 on B, but r lands in a set of 3, not in A
+    ((FinMap(2, 1, (0, 0)), FinMap(1, 3, (0,)), identity(1), identity(1)),
+     "r must go B -> A"),
+    ((identity(1), identity(1), FinMap(2, 1, (0, 0)), FinMap(1, 3, (0,))),
+     "s must go B -> C"),
+], ids=["codomains", "r", "s"])
+def test_split_cospan_names_each_mistyped_leg(legs, message):
+    with pytest.raises(DomainMismatch) as err:
+        SplitCospan(*legs)
+    assert str(err.value) == message
 
 
 def test_local_product_square_of_two_points():
@@ -130,6 +146,24 @@ def test_intrinsic_check_joins_the_compatible_pairs_once(monkeypatch):
     assert res.report.ok and len(calls) == 2
 
 
+@pytest.mark.parametrize("k, bad", [
+    (1, FinMap(3, 2, (0, 1, 0))),     # p2 from 3 points, not from E = 4
+    (2, FinMap(3, 4, (0, 1, 2))),     # e1 from 3 points, not from A = 2
+    (2, FinMap(2, 5, (0, 2))),        # e1 into 5 points
+    (3, FinMap(3, 4, (0, 1, 3))),     # e2 from 3 points, not from C = 2
+    (3, FinMap(2, 5, (0, 1))),        # e2 into 5 points
+], ids=["p2-dom", "e1-dom", "e1-cod", "e2-dom", "e2-cod"])
+def test_intrinsic_check_names_a_mistyped_diagram(k, bad):
+    bang = FinMap(2, 1, (0, 0))
+    point = FinMap(1, 2, (0,))
+    lp = local_product(SplitCospan(bang, point, bang, point))
+    maps = [lp.p1, lp.p2, lp.e1, lp.e2]
+    maps[k] = bad
+    with pytest.raises(DomainMismatch) as err:
+        check_local_product_intrinsic(*maps)
+    assert str(err.value) == "diagram maps are not type-compatible"
+
+
 def test_intrinsic_check_on_singletons():
     one = identity(1)
     res = check_local_product_intrinsic(one, one, one, one)
@@ -154,10 +188,9 @@ def test_pushout_and_coproduct_compare():
     bang = FinMap(2, 1, (0, 0))
     point = FinMap(1, 2, (0,))
     lp = local_product(SplitCospan(bang, point, bang, point))
-    po = pushout_split_mono(lp.source)
-    assert po.size == 3  # 2 + 2 - 1
     rep = local_coproduct_compare(lp)
     assert not rep.ok
+    assert "pushout size 3" in rep.details  # 2 + 2 - 1
 
     sc = SplitCospan(identity(3), identity(3), identity(3), identity(3))
     assert local_coproduct_compare(local_product(sc)).ok
@@ -243,6 +276,46 @@ def test_extremal_check_m0_counts_free_points():
                                   span_class="M0")
     assert res.count == 2
     assert len(res.solutions) == 2
+
+
+@pytest.mark.parametrize("D, count, truncated", [(2, 2, False), (3, 3, True)])
+def test_extremal_check_lists_at_most_two_solutions(D, count, truncated):
+    """In class M0 over the span to a point, the one point off the cross
+    ranges over all of D: up to two solutions are all listed, and past
+    two only the two least."""
+    bang = FinMap(2, 1, (0, 0))
+    point = FinMap(1, 2, (0,))
+    lp = local_product(SplitCospan(bang, point, bang, point))
+    to_point = FinMap(D, 1, (0,) * D)
+    zero = FinMap(2, D, (0, 0))
+    res = extremal_instance_check(lp, to_point, to_point, zero, zero,
+                                  span_class="M0")
+    assert (res.count, res.truncated, len(res.solutions)) == \
+        (count, truncated, 2)
+
+
+@pytest.mark.parametrize("d, c, alpha, gamma, span_class, error, message", [
+    (identity(2), FinMap(3, 2, (0, 1, 0)), identity(2), identity(2), "M1",
+     DomainMismatch, "span legs must share their apex"),
+    (identity(2), identity(2), FinMap(3, 2, (0, 0, 0)), identity(2), "M1",
+     DomainMismatch, "alpha and gamma must start at A and C"),
+    (identity(2), identity(2), identity(2), FinMap(2, 3, (0, 0)), "M1",
+     DomainMismatch, "alpha and gamma must land in the span apex"),
+    (identity(2), identity(2), identity(2), identity(2), "M3",
+     CompatibilityViolation, "unknown span class 'M3'"),
+    # p2 e1 and p1 e2 are constant at 0, so alpha = (0, 1) breaks the
+    # first square and gamma = (1, 1) the second: the first is named
+    (identity(2), identity(2), FinMap(2, 2, (0, 1)), FinMap(2, 2, (1, 1)),
+     "M1", CompatibilityViolation, "d alpha != d gamma p2 e1 at element 0"),
+], ids=["legs", "alpha-dom", "gamma-cod", "class", "both-squares"])
+def test_extremal_check_names_its_first_defect(d, c, alpha, gamma, span_class,
+                                               error, message):
+    bang = FinMap(2, 1, (0, 0))
+    point = FinMap(1, 2, (0,))
+    lp = local_product(SplitCospan(bang, point, bang, point))
+    with pytest.raises(error) as err:
+        extremal_instance_check(lp, d, c, alpha, gamma, span_class)
+    assert str(err.value) == message
 
 
 # Nested-loop definitions, kept as oracles for the bucketed constructions.

@@ -1,15 +1,17 @@
 """The constructions that limits and internal once made by hand, kept
-here as references: the union-find pushout of split monos, lp-check
-rebuilt through label dictionaries, the groupoid check by a scan of the
-kernel-pair labels, and the two hand-rolled joins of the associativity
-checks.  Hypothesis compares whole results with them, byte for byte."""
+here as references: the pushout comparison through a union-find pushout
+of split monos, lp-check rebuilt through label dictionaries, the
+groupoid check by a scan of the kernel-pair labels, and the two
+hand-rolled joins of the associativity checks.  Hypothesis compares
+whole results with them, byte for byte."""
 import ast
-from itertools import product
+from collections import namedtuple
+from itertools import chain, product
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from finkite import limits
+from finkite import internal, limits
 from finkite.errors import DomainMismatch
 from finkite.finmaps import FinMap, compose, fibres, index_of
 from finkite.gallery import monoid_tables, unital_magma_tables
@@ -18,10 +20,10 @@ from finkite.internal import (MultiplicativeGraph, Pregroupoid,
                               pregroupoid_associative, validate_category,
                               validate_groupoid, validate_pregroupoid,
                               validate_unital_multiplicative_graph)
-from finkite.limits import (IntrinsicCheck, Pushout, SplitCospan,
+from finkite.limits import (IntrinsicCheck, SplitCospan,
                             _failed_conditions_1_to_3,
                             check_local_product_intrinsic, kernel_pair,
-                            local_product, pullback, pushout_split_mono)
+                            local_coproduct_compare, local_product, pullback)
 from finkite.report import fails, holds
 
 
@@ -31,6 +33,9 @@ def same(got, want):
 
 
 # -- pushout of split monos ---------------------------------------------
+
+Pushout = namedtuple("Pushout", "size q1 q2 class_labels")
+
 
 def pushout_by_union_find(sc):
     """A +_B C as the classes of a union-find over A + C, glued along
@@ -90,14 +95,73 @@ def identity_cospan(n):
     return SplitCospan(one, one, one, one)
 
 
-@given(split_cospans())
+def coproduct_compare_by_pushout(lp):
+    """local_coproduct_compare through the union-find pushout: the class
+    of a goes to e1(a) and that of c to e2(c), checked well defined, and
+    the map is a bijection iff its image and the pushout both have E
+    points."""
+    po = pushout_by_union_find(lp.source)
+    target = [None] * po.size
+    details = [f"pushout size {po.size}", f"local product size {lp.E}"]
+    for k, v in chain(zip(po.q1.table, lp.e1.table),
+                      zip(po.q2.table, lp.e2.table)):
+        if target[k] is not None and target[k] != v:
+            return fails("pushout-compare", {"class": k}, details +
+                         ["canonical map is not well defined"])
+        target[k] = v
+    if len(set(target)) == po.size == lp.E:
+        return holds("pushout-compare", details + ["comparison is a bijection"])
+    witness = None
+    missing = set(range(lp.E)) - set(target)
+    if missing:
+        witness = {"unreached": lp.element_labels[min(missing)]}
+    return fails("pushout-compare", witness, details +
+                 ["comparison is not a bijection"])
+
+
+ANY_SPLIT_COSPAN = st.one_of(split_cospans(), split_cospans(fat=True))
+
+
+@given(ANY_SPLIT_COSPAN)
 @example(identity_cospan(0))
 @example(SplitCospan(FinMap(3, 1, (0, 0, 0)), FinMap(1, 3, (2,)),
                      FinMap(1, 1, (0,)), FinMap(1, 1, (0,))))
 @settings(max_examples=300, deadline=None)
-def test_pushout_matches_the_union_find(sc):
-    """Size, q1, q2 and class labels, at B = 0 and with A != C."""
-    same(pushout_split_mono(sc), pushout_by_union_find(sc))
+def test_coproduct_compare_matches_the_union_find_pushout(sc):
+    """Whole reports and their JSON, at B = 0, with A != C, on cospans
+    whose comparison holds and on fat ones, where it fails."""
+    lp = local_product(sc)
+    got, want = local_coproduct_compare(lp), coproduct_compare_by_pushout(lp)
+    same(got, want)
+    assert got.to_json() == want.to_json()
+
+
+@given(ANY_SPLIT_COSPAN)
+@example(identity_cospan(0))
+@settings(max_examples=300, deadline=None)
+def test_the_injections_meet_only_over_b(sc):
+    """The premise of the count: e1(A) and e2(C) meet in e1 r(B), which
+    has B points, so the comparison's image has A + C - B of them."""
+    lp = local_product(sc)
+    e1, e2 = set(lp.e1.table), set(lp.e2.table)
+    assert e1 & e2 == set(compose(lp.e1, sc.r).table)
+    assert len(e1 | e2) == sc.A + sc.C - sc.B
+
+
+def test_every_local_product_is_placed_by_one_builder():
+    """local_coproduct_compare relies on e1 r = e2 s, which holds for
+    each LocalProduct that limits._placed builds; no other code does."""
+    builders = set()
+    for path in sorted(Path(limits.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "LocalProduct"
+                    for node in ast.walk(fn)):
+                builders.add(f"{path.stem}.{fn.name}")
+    assert builders == {"limits._placed"}
 
 
 # -- lp-check ------------------------------------------------------------
@@ -332,6 +396,27 @@ def test_groupoid_check_matches_the_kernel_pair_scan(drawn):
     mg = product_category(*drawn)
     assert validate_category(mg).ok
     same(validate_groupoid(mg), groupoid_by_scan(mg))
+
+
+def test_the_groupoid_check_builds_a_kernel_pair_only_to_name_a_miss(
+        monkeypatch):
+    """|ker d| is read from d's fibre sizes: a groupoid and an
+    injectivity failure build no kernel pair, a surjectivity failure one."""
+    groupoid = product_category(2, [(0, 1), (1, 0)], Z2)
+    monoid = product_category(1, [], FLIP_FLOP)
+    preorder = product_category(2, [(0, 1)], Z2)
+    built = []
+    kernel = internal.kernel_pair
+    monkeypatch.setattr(internal, "kernel_pair",
+                        lambda h: built.append(h) or kernel(h))
+    assert validate_groupoid(groupoid).ok
+    assert validate_groupoid(monoid).witness["equation"] == \
+        "<m, pi2> is not injective"
+    assert built == []
+    rep = validate_groupoid(preorder)
+    assert rep.witness["equation"] == "<m, pi2> is not surjective"
+    same(rep, groupoid_by_scan(preorder))
+    assert built == [preorder.rg.d]
 
 
 @given(categories(MAGMAS))
